@@ -1,8 +1,9 @@
 """Exact distances, diameters, and diameter bounds for circulant graphs C_n(1, s).
 
-The fast path computes distances by minimizing over a small set of
-canonical path classes and never touches an explicit graph; an independent
-breadth-first-search oracle provides ground truth for testing.  Closed-form
+Distances are pure arithmetic and never touch an explicit graph: single
+queries scan a small set of canonical path classes, bulk ranges use a
+lattice kernel.  An independent breadth-first-search oracle provides
+ground truth for testing.  Closed-form
 diameter values and constructed peripheral vertices are available for the
 parameter regimes that admit them.
 """

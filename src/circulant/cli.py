@@ -100,11 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     w.add_argument("--out", help="output path (default stdout)")
     w.add_argument("--format", choices=["csv", "json", "ndjson"], default="csv")
+    # a string default goes through type=int at parse time, so a bad
+    # $CIRC_JOBS is a usage error rather than a crash while building
     w.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("CIRC_JOBS", "1")),
-        help="worker processes (default $CIRC_JOBS or 1)",
+        default=os.environ.get("CIRC_JOBS", "1"),
+        help="worker processes, at most the CPU and cell counts "
+        "(default $CIRC_JOBS or 1)",
     )
     w.set_defaults(func=_cmd_sweep)
     return parser
@@ -283,9 +286,10 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
 
-    if args.jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (args.jobs * 8))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        chunk = max(1, len(tasks) // (jobs * 8))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
     else:
         rows = [_sweep_cell(t) for t in tasks]

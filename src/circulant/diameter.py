@@ -3,8 +3,9 @@
 By vertex-transitivity the diameter equals the eccentricity of vertex 0,
 and the ring symmetry d(i) = d(n - i) confines the search to
 i in [2, floor(n/2)] (i = 0 and i = 1 never attain the maximum of a graph
-that is not complete).  The scan runs on the vectorized distance kernel in
-independent index blocks, so memory stays flat for large n.
+that is not complete).  The scan runs the lattice kernel distance_range,
+which costs the same per vertex for every chord, over independent index
+blocks, so memory stays flat for large n.
 """
 from __future__ import annotations
 
@@ -12,15 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _CHUNK, distance_range
+from .distance import distance_range
 from .params import CirculantParams
+
+# vertices per distance_range call; bounds peak memory, not results
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
 class DiameterResult:
     """Diameter value, the attaining vertices in [2, n//2], and provenance.
 
-    method is "algorithm" (class minimization), "formula" (closed form) or
+    method is "algorithm" (the lattice kernel), "formula" (closed form) or
     "oracle" (breadth-first search); equal values from any two methods are
     the cross-checks the test suite leans on.
     """

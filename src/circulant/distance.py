@@ -1,9 +1,13 @@
-"""Exact vertex distances as minima over canonical path classes.
+"""Exact vertex distances, by two routes that agree on every vertex.
 
-d(0, i) equals the shortest canonical class length for i, so a distance
-query is a scan over 2 + 4*T class lengths.  Two entry points share that
-scan: a scalar one that also reports the minimizing class and its vertex
-sequence, and a vectorized one used for whole eccentricity ranges.
+d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
+and y chord steps.  The scalar route, distance_from_zero, scans the
+canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
+reports the minimizing class and a realized path; it uses Python integers,
+so it has no range limit.  The bulk route, distance_range, treats the
+minimum as an L1 closest-vector problem in a 2-D lattice: a Gauss-reduced
+basis leaves 4 candidate points per vertex for every chord, evaluated with
+int64 numpy.  The tests hold the bulk route to the scan and to BFS.
 """
 from __future__ import annotations
 
@@ -23,8 +27,10 @@ from .paths import (
     translate_endpoints,
 )
 
-# numpy block size for range queries; bounds peak memory, not results
-_CHUNK = 1 << 20
+# vertices per numpy pass of the lattice kernel: keeps its arrays in cache
+_CHUNK = 1 << 13
+# largest n whose kernel intermediates fit in int64 (see distance_range)
+_MAX_N = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -112,29 +118,105 @@ def distance(p: CirculantParams, i: int, j: int) -> DistanceResult:
     return distance_from_zero(p, translate_endpoints(p, i, j))
 
 
+def _reduced_basis(n: int, s: int) -> tuple[int, int, int, int]:
+    """Gauss-Lagrange reduced basis (u, w) of {(x, y) : x + s*y = 0 mod n}.
+
+    Returns (ux, uy, wx, wy) with |u| <= |w|, |u.w| <= |u|^2 / 2, the
+    heavier coordinate of u positive and ux*wy - uy*wx = n.  Starts from
+    {(n, 0), (-s, 1)} and takes O(log n) integer steps.
+    """
+    ux, uy, wx, wy = -s, 1, n, 0
+    while True:
+        uu = ux * ux + uy * uy
+        m = (2 * (ux * wx + uy * wy) + uu) // (2 * uu)  # round(u.w / u.u)
+        wx, wy = wx - m * ux, wy - m * uy
+        if wx * wx + wy * wy >= uu:
+            break
+        ux, uy, wx, wy = wx, wy, ux, uy
+    if (ux if abs(ux) >= abs(uy) else uy) < 0:
+        ux, uy = -ux, -uy
+    if ux * wy - uy * wx < 0:
+        wx, wy = -wx, -wy
+    return ux, uy, wx, wy
+
+
 def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     """d(0, i) for every i in [lo, hi] as an int64 array.
 
-    Same minimization as distance_from_zero, evaluated with numpy over the
-    index range and a loop over the pruned wrap counts.  Intermediates are
-    bounded by (s + 1) * n, inside int64 for the documented n <= 2**31.
+    d(0, i) is the least |x| + |y| over x + s*y = i (mod n): the L1
+    distance from P = (i, 0) to the lattice L = {x + s*y = 0 (mod n)}, whose
+    determinant is n.  With the reduced basis (u, w) of _reduced_basis,
+    write P = alpha*u + beta*w; then beta = -i*uy/n.  Row B is the line
+    {P - B*w - A*u : A real}.  On a row, f(A) = |X - A*u|_1 is convex with
+    breakpoints where either coordinate vanishes, and its real minimum is
+    at the breakpoint of the heavier coordinate h of u (|uh| = |u|_inf), so
+    the best lattice point of the row is at A = floor or ceil of Xh/uh.
+    Only rows b0 = floor(beta) and b0 + 1 can hold the minimum:
+
+    - Every point x of row B has |(-uy, ux) . x| = |beta - B|*n, and
+      Hoelder gives |x|_1 >= |beta - B|*g with g = n/|u|_inf.  The
+      breakpoint of h attains it.
+    - Let e <= 1/2 be the smaller offset |beta - B| of rows b0 and b0 + 1.
+      f is |u|_1-Lipschitz, so that row holds a lattice point with
+      |x|_1 <= e*g + |u|_1/2.
+    - Reduction gives |u|^2 <= (2/sqrt 3)*n (the angle of u and w lies in
+      [60, 120] degrees and |u| <= |w|), so
+      |u|_1*|u|_inf <= (3/2)*|u|^2 <= sqrt(3)*n and |u|_1/2 < g.
+    - Every other row has offset at least e + 1, so all its points have
+      |x|_1 >= e*g + g, more than the bound above.
+
+    Each chunk of _CHUNK vertices evaluates the 2 rows x 2 candidates with
+    int64 numpy.  Intermediates stay below 12*n except i*uy, which stays
+    below 1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n
+    raises ValueError (distance_from_zero has no such limit).
     """
     if lo < 0 or hi >= p.n or lo > hi:
         raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
-    n, s = p.n, p.s
-    t_limit = wrap_limit(p)
-    out = np.empty(hi - lo + 1, dtype=np.int64)
+    if p.n > _MAX_N:
+        raise ValueError(
+            f"n={p.n} exceeds 2**40, the int64 limit of distance_range; "
+            "use distance_from_zero"
+        )
+    n = p.n
+    ux, uy, wx, wy = _reduced_basis(n, p.s)
+    if abs(ux) >= abs(uy):
+        uh, ul, wh, wl, on_h = ux, uy, wx, wy, True
+    else:
+        uh, ul, wh, wl, on_h = uy, ux, wy, wx, False
+    m = hi - lo + 1
+    out = np.empty(m, dtype=np.int64)
+    size = min(m, _CHUNK)
+    rows = np.arange(2, dtype=np.int64)[:, None]
+    xh = np.empty((2, size), dtype=np.int64)
+    xl = np.empty((2, size), dtype=np.int64)
+    a = np.empty((2, size), dtype=np.int64)
+    r = np.empty((2, size), dtype=np.int64)
     for start in range(lo, hi + 1, _CHUNK):
-        stop = min(hi, start + _CHUNK - 1)
-        idx = np.arange(start, stop + 1, dtype=np.int64)
-        q, r = np.divmod(idx, s)
-        best = np.minimum(r + q, 1 + s - r + q)
-        for t in range(1, t_limit + 1):
-            q_t, r_t = np.divmod(t * n + idx, s)
-            np.minimum(best, r_t + q_t, out=best)
-            np.minimum(best, 1 + s - r_t + q_t, out=best)
-            q_b, r_b = np.divmod(t * n - idx, s)
-            np.minimum(best, r_b + q_b, out=best)
-            np.minimum(best, 1 + s - r_b + q_b, out=best)
-        out[start - lo : stop - lo + 1] = best
+        c = min(_CHUNK, hi + 1 - start)
+        xh_, xl_, a_, r_ = xh[:, :c], xl[:, :c], a[:, :c], r[:, :c]
+        i = np.arange(start, start + c, dtype=np.int64)
+        # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
+        b = i * -uy
+        b //= n
+        np.add(b, rows, out=r_)
+        # X = (i, 0) - B*w in the heavy/light coordinates of u
+        np.multiply(r_, -wh, out=xh_)
+        np.multiply(r_, -wl, out=xl_)
+        if on_h:
+            xh_ += i
+        else:
+            xl_ += i
+        # A = floor(xh/uh) leaves heavy residual r, light residual xl - A*ul
+        np.divmod(xh_, uh, out=(a_, r_))
+        a_ *= ul
+        np.subtract(xl_, a_, out=a_)
+        np.abs(a_, out=xh_)
+        xh_ += r_
+        # A + 1 leaves heavy residual uh - r, light residual shifted by ul
+        a_ -= ul
+        np.abs(a_, out=a_)
+        a_ -= r_
+        a_ += uh
+        np.minimum(xh_, a_, out=xh_)
+        np.minimum(xh_[0], xh_[1], out=out[start - lo : start - lo + c])
     return out

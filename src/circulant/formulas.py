@@ -5,7 +5,7 @@ expression.  When lam > gamma > 0 there is one formula per parity pair of
 (n, s), each a small piecewise function of gamma.  When lam <= gamma and
 the secondary split s = a*gamma + b has 0 < b <= a*lam + 1, the diameter
 comes from the midpoint quantities p0..p3.  Everything else has no known
-closed form and callers fall back to the exact scan.
+closed form and callers fall back to diameter_exact.
 
 The four parity families also admit constructed witnesses: explicit
 vertices whose distance attains the diameter.  Each construction places

@@ -7,6 +7,7 @@ exercise exactly what a shell invocation would, including exit codes.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -287,6 +288,31 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     assert args.jobs == 3
 
 
+def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # n in [9, 10] has 6 cells, n = 7 has 2, n = 5 has 1 (no pool at all)
+    for n_min, n_max in [("9", "10"), ("7", "7"), ("5", "5")]:
+        argv = ["sweep", "--n-min", n_min, "--n-max", n_max, "--jobs", "64", "--out", os.devnull]
+        assert cli.main(argv) == 0
+    assert workers == [4, 2]
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -319,6 +345,14 @@ def test_sweep_nonpositive_jobs_exits_1(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "6", "--jobs", "0"])
     assert code == 1
     assert "--jobs" in err
+
+
+def test_sweep_bad_jobs_environment_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("CIRC_JOBS", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["sweep", "--n-min", "5", "--n-max", "6"])
+    assert excinfo.value.code == 1
+    assert "'abc'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1(capsys):

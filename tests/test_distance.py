@@ -1,4 +1,6 @@
 """Distance values, argmin classes, and the vectorized range kernel."""
+import random
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from circulant import (
     bfs_distances,
     build_adjacency,
     canonical_classes,
+    diameter_exact,
     distance,
     distance_from_zero,
     distance_range,
 )
-from circulant.distance import wrap_limit
+from circulant.distance import _CHUNK, wrap_limit
 from circulant.paths import t_range
 
 P10 = CirculantParams(10, 4)
@@ -108,10 +111,16 @@ def test_range_kernel_matches_scalar():
 
 
 def test_range_kernel_partial_window():
-    p = CirculantParams(100, 7)
-    whole = distance_range(p, 0, 50)
-    part = distance_range(p, 10, 30)
-    assert np.array_equal(whole[10:31], part)
+    # the second cell spans three kernel chunks; its windows straddle edges
+    cells = [
+        (100, 7, [(10, 30)]),
+        (40_000, 137, [(1, _CHUNK + 2), (_CHUNK - 7, 2 * _CHUNK + 9), (3, 20_000)]),
+    ]
+    for n, s, windows in cells:
+        p = CirculantParams(n, s)
+        whole = distance_range(p, 0, p.half)
+        for lo, hi in windows:
+            assert np.array_equal(whole[lo : hi + 1], distance_range(p, lo, hi)), (n, s, lo, hi)
 
 
 def test_range_kernel_rejects_bad_window():
@@ -119,6 +128,47 @@ def test_range_kernel_rejects_bad_window():
         distance_range(P10, -1, 4)
     with pytest.raises(ValueError):
         distance_range(P10, 0, 10)
+
+
+def test_range_kernel_int64_domain():
+    # at n = 2**40 a Fibonacci-like chord balances the reduced basis, so
+    # i*uy near i = n is at its largest; d(i) = d(n - i) would break on overflow
+    n = 2**40
+    p = CirculantParams(n, 419_976_070_784)
+    top = distance_range(p, n - 2000, n - 1)
+    assert np.array_equal(top[::-1], distance_range(p, 1, 2000))
+    # the kernel used to overflow here silently (vertex 5 came out negative)
+    p = CirculantParams(2**62 - 1, 2**31 + 11)
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        distance_range(p, 0, 10)
+    assert distance_from_zero(p, 5).value == 5
+
+
+@pytest.mark.parametrize(
+    "n, s", [(100_000, 33_333), (1_000_000, 499_999), (100_000, 49_999), (40_000, 19_999)]
+)
+def test_range_kernel_is_multiplier_invariant(n, s):
+    # i -> u*i with u = s^-1 mod n maps C_n(1, s) onto C_n(1, u) = C_n(1, n - u)
+    u = pow(s, -1, n)
+    whole = distance_range(CirculantParams(n, s), 0, n - 1)
+    image = distance_range(CirculantParams(n, min(u, n - u)), 0, n - 1)
+    assert np.array_equal(whole, image[np.arange(n, dtype=np.int64) * u % n])
+
+
+def test_multiplier_pair_shares_diameter():
+    assert diameter_exact(CirculantParams(100_000, 33_333)).value == 16_668
+    assert diameter_exact(CirculantParams(100_000, 3)).value == 16_668
+
+
+def test_range_kernel_matches_scalar_on_cliff_cells():
+    # s ~ n/2, where the scan needs thousands of wrap counts per vertex;
+    # 10 vertices per cell keep the scan under half a second
+    rng = random.Random(2)
+    for n, s in [(100_000, 49_999), (40_000, 19_999)]:
+        p = CirculantParams(n, s)
+        vec = distance_range(p, 0, n - 1)
+        for i in rng.sample(range(n), 10):
+            assert vec[i] == distance_from_zero(p, i).value, (n, s, i)
 
 
 def test_wrap_limit_never_exceeds_full_range():
