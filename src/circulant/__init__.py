@@ -6,6 +6,11 @@ lattice kernel.  An independent breadth-first-search oracle provides
 ground truth for testing.  Closed-form
 diameter values and constructed peripheral vertices are available for the
 parameter regimes that admit them.
+
+Importing the package does not import numpy: the first call of the bulk
+kernel (distance_range, and through it diameter_exact and
+eccentricity_profile) loads it, so scalar queries, bounds, closed forms and
+the oracle start without paying for it.
 """
 from .bounds import BoundsReport, bounds_report
 from .diameter import DiameterResult, diameter_exact, eccentricity_profile

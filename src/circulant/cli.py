@@ -286,6 +286,15 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
 
+    if args.out:
+        # opened before any cell is computed, so a bad path fails at once
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            return _run_sweep(tasks, args, fh)
+    return _run_sweep(tasks, args, sys.stdout)
+
+
+def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
+    """Compute every cell, write the rows to out, return the exit code."""
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
@@ -293,12 +302,7 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
     else:
         rows = [_sweep_cell(t) for t in tasks]
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _emit_rows(rows, args.format, fh)
-    else:
-        _emit_rows(rows, args.format, sys.stdout)
+    _emit_rows(rows, args.format, out)
 
     failed = any(
         row[key] is False for row in rows for key in ("agree_formula", "agree_oracle")
@@ -320,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except OSError as exc:  # e.g. an unwritable sweep --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

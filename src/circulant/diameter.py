@@ -5,13 +5,13 @@ and the ring symmetry d(i) = d(n - i) confines the search to
 i in [2, floor(n/2)] (i = 0 and i = 1 never attain the maximum of a graph
 that is not complete).  The scan runs the lattice kernel distance_range,
 which costs the same per vertex for every chord, over independent index
-blocks, so memory stays flat for large n.
+blocks, so memory stays flat for large n.  It reads the kernel's arrays
+through their own methods, so numpy loads with the first distance_range
+call, not with this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distance import distance_range
 from .params import CirculantParams
@@ -51,7 +51,7 @@ def diameter_exact(p: CirculantParams) -> DiameterResult:
         if block_max > value:
             value = block_max
             witnesses.clear()
-        witnesses.extend((np.flatnonzero(block == block_max) + start).tolist())
+        witnesses.extend(((block == block_max).nonzero()[0] + start).tolist())
     return DiameterResult(value=value, witnesses=tuple(witnesses), method="algorithm")
 
 

@@ -8,15 +8,17 @@ so it has no range limit.  The bulk route, distance_range, treats the
 minimum as an L1 closest-vector problem in a 2-D lattice: a Gauss-reduced
 basis leaves 4 candidate points per vertex for every chord, evaluated with
 int64 numpy.  The tests hold the bulk route to the scan and to BFS.
+
+numpy is imported by the first distance_range call, not with this module,
+so a process that only asks scalar queries never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import bounds_report
-from .params import CirculantParams, check_vertex
+from .params import CirculantParams, OutOfRangeError, check_vertex
 from .paths import (
     CCW,
     CW,
@@ -26,6 +28,9 @@ from .paths import (
     t_range,
     translate_endpoints,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # vertices per numpy pass of the lattice kernel: keeps its arrays in cache
 _CHUNK = 1 << 13
@@ -168,15 +173,17 @@ def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     Each chunk of _CHUNK vertices evaluates the 2 rows x 2 candidates with
     int64 numpy.  Intermediates stay below 12*n except i*uy, which stays
     below 1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n
-    raises ValueError (distance_from_zero has no such limit).
+    raises OutOfRangeError (distance_from_zero has no such limit).
     """
     if lo < 0 or hi >= p.n or lo > hi:
         raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
     if p.n > _MAX_N:
-        raise ValueError(
+        raise OutOfRangeError(
             f"n={p.n} exceeds 2**40, the int64 limit of distance_range; "
             "use distance_from_zero"
         )
+    import numpy as np
+
     n = p.n
     ux, uy, wx, wy = _reduced_basis(n, p.s)
     if abs(ux) >= abs(uy):

@@ -6,12 +6,14 @@ integer arithmetic on the quotients and remainders collected here.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 
 class OutOfRangeError(ValueError):
-    """Raised when (n, s) violates n >= 5 or 2 <= s <= (n-1)//2."""
+    """Raised when (n, s) violates n >= 5 or 2 <= s <= (n-1)//2, or when n
+    exceeds what a bounded routine supports (distance_range: n <= 2**40)."""
 
 
 class VertexOutOfRangeError(ValueError):
@@ -22,14 +24,20 @@ class VertexOutOfRangeError(ValueError):
 class CirculantParams:
     """Validated parameters of C_n(1, s).
 
-    Invariants: n >= 5 and 2 <= s <= (n-1)//2.  Construction fails on
-    anything else, so holding an instance certifies the constraints.
+    Invariants: n and s are Python ints, n >= 5 and 2 <= s <= (n-1)//2.
+    Construction fails on anything else (TypeError for a non-integral
+    value such as 10.5, OutOfRangeError for a bad range), so holding an
+    instance certifies the constraints.  Integer types such as numpy ints
+    are converted with operator.index.
     """
 
     n: int
     s: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.s) is not int:
+            object.__setattr__(self, "n", _integer("n", self.n))
+            object.__setattr__(self, "s", _integer("s", self.s))
         if self.n < 5:
             raise OutOfRangeError(f"n={self.n}: need n >= 5")
         if self.s < 2 or self.s > (self.n - 1) // 2:
@@ -43,9 +51,19 @@ class CirculantParams:
         return self.n // 2
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; TypeError, never truncation, for a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name}={value!r}: need an integer, not {type(value).__name__}"
+        ) from None
+
+
 def validate_params(n: int, s: int) -> CirculantParams:
-    """Check raw integers and wrap them; raises OutOfRangeError otherwise."""
-    return CirculantParams(int(n), int(s))
+    """Check raw integers and wrap them; raises TypeError or OutOfRangeError."""
+    return CirculantParams(n, s)
 
 
 @dataclass(frozen=True)
@@ -77,7 +95,7 @@ def decompose(p: CirculantParams) -> DecompositionContext:
     """Compute all derived quantities for p.
 
     Fields a, b exist iff gamma > 0; p0..p3 and e1 exist iff additionally
-    b > 0.  All arithmetic stays within 64-bit signed range for n <= 2**31.
+    b > 0.  The arithmetic uses Python ints, so it has no range limit.
     """
     n, s = p.n, p.s
     lam, gamma = divmod(n, s)

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +316,57 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
     assert workers == [4, 2]
 
 
+def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_path):
+    def no_cells(task):
+        raise AssertionError(f"cell {task} computed before --out was opened")
+
+    monkeypatch.setattr(cli, "_sweep_cell", no_cells)
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "8", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+# ---------------------------------------------------------------- cold start
+
+# Run in one fresh interpreter; each step records whether numpy is loaded
+# after it.  Only the bulk kernel, here through diameter_exact, may load it.
+_COLD_START = """
+import json, sys
+steps = []
+def step(name):
+    steps.append([name, "numpy" in sys.modules])
+import circulant, circulant.cli
+from circulant import CirculantParams, bounds_report, diameter_formula, formula_witness
+step("import")
+circulant.cli.main(["distance", "--n", "16", "--s", "5", "--from", "3", "--to", "12", "--witness"])
+step("cli distance")
+for method in ("formula", "oracle"):
+    circulant.cli.main(["diameter", "--n", "16", "--s", "5", "--method", method, "--witness"])
+    step("cli diameter " + method)
+p = CirculantParams(16, 5)
+bounds_report(p), diameter_formula(p), formula_witness(p)
+step("bounds and formulas")
+circulant.diameter_exact(p)
+step("diameter_exact")
+print(json.dumps(steps))
+"""
+
+
+def test_scalar_routes_leave_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert steps[-1] == ["diameter_exact", True]
+    assert [name for name, loaded in steps if loaded] == ["diameter_exact"]
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -333,6 +387,16 @@ def test_vertex_out_of_range_exits_1(capsys):
     code, _, err = run_cli(capsys, ["distance", "--n", "10", "--s", "4", "--from", "0", "--to", "10"])
     assert code == 1
     assert "vertex" in err
+
+
+@pytest.mark.parametrize("command", ["diameter", "bounds"])
+def test_n_above_kernel_range_exits_1(capsys, command):
+    # distance_range is exact for n <= 2**40; above it the CLI used to print
+    # a ValueError traceback
+    code, out, err = run_cli(capsys, [command, "--n", "2000000000000", "--s", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "2**40" in err
 
 
 def test_sweep_bad_s_string_exits_1(capsys):

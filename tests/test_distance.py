@@ -130,6 +130,19 @@ def test_range_kernel_rejects_bad_window():
         distance_range(P10, 0, 10)
 
 
+@pytest.mark.parametrize(
+    "n, s", [(10_000, 3), (100_000, 33_333), (10_007, 2_000), (99_991, 316)]
+)
+def test_scalar_route_is_multiplier_invariant(n, s):
+    # the scalar counterpart of the range-kernel check below: the two class
+    # scans run with different chords and wrap limits (1 against thousands)
+    u = pow(s, -1, n)
+    p, image = CirculantParams(n, s), CirculantParams(n, min(u, n - u))
+    for i in random.Random(n + s).sample(range(1, n), 8):
+        expected = distance_from_zero(image, u * i % n).value
+        assert distance_from_zero(p, i).value == expected, (n, s, i)
+
+
 def test_range_kernel_int64_domain():
     # at n = 2**40 a Fibonacci-like chord balances the reduced basis, so
     # i*uy near i = n is at its largest; d(i) = d(n - i) would break on overflow

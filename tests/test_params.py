@@ -1,8 +1,9 @@
 """Parameter validation and integer decomposition."""
+import numpy as np
 import pytest
 from hypothesis import given
 
-from circulant import OutOfRangeError, decompose, validate_params
+from circulant import CirculantParams, OutOfRangeError, decompose, validate_params
 
 from _strategies import valid_params
 
@@ -32,6 +33,22 @@ def test_boundary_s_is_accepted():
     validate_params(12, 5)
     with pytest.raises(OutOfRangeError):
         validate_params(11, 6)
+
+
+@pytest.mark.parametrize("n, s", [(10.9, 4), (10.5, 4), ("10", 4), (10, 4.0), (10, None)])
+def test_rejects_non_integral_values(n, s):
+    # validate_params(10.9, 4) used to truncate to n = 10; CirculantParams(10.5, 4)
+    # was accepted and failed later inside distance
+    with pytest.raises(TypeError, match="need an integer"):
+        validate_params(n, s)
+    with pytest.raises(TypeError, match="need an integer"):
+        CirculantParams(n, s)
+
+
+def test_accepts_numpy_integers_as_python_ints():
+    for p in (validate_params(np.int64(10), np.int32(4)), CirculantParams(np.int64(10), np.int64(4))):
+        assert p == CirculantParams(10, 4)
+        assert type(p.n) is int and type(p.s) is int
 
 
 def test_decompose_gamma_zero():
