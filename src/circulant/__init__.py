@@ -36,14 +36,11 @@ from .paths import (
     Family,
     InconsistentClassError,
     PathClass,
-    ResidueDecomposition,
     WalkSpec,
     canonical_classes,
-    classes_equivalent,
     realize_path,
     reduce_walk,
     render_path,
-    residues,
     translate_endpoints,
 )
 
@@ -63,14 +60,12 @@ __all__ = [
     "InconsistentClassError",
     "OutOfRangeError",
     "PathClass",
-    "ResidueDecomposition",
     "VertexOutOfRangeError",
     "WalkSpec",
     "bfs_distances",
     "bounds_report",
     "build_adjacency",
     "canonical_classes",
-    "classes_equivalent",
     "classify_case",
     "decompose",
     "diameter_exact",
@@ -84,7 +79,6 @@ __all__ = [
     "realize_path",
     "reduce_walk",
     "render_path",
-    "residues",
     "translate_endpoints",
     "validate_params",
 ]

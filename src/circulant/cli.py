@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import bounds_report
 from .diameter import diameter_exact
@@ -113,6 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_payload(payload: dict, fmt: str, inputs: tuple[str, ...]) -> int:
+    """One JSON line, or a "key = value" line for each field not in inputs."""
+    if fmt == "json":
+        print(json.dumps(payload))
+        return 0
+    for key, value in payload.items():
+        if key in inputs:
+            continue
+        if value is None:
+            value = "null (no closed form)" if key == "diameter" else "null"
+        elif isinstance(value, list):
+            value = " ".join(map(str, value))
+        print(f"{key} = {value}")
+    return 0
+
+
 def _cmd_distance(args) -> int:
     p = validate_params(args.n, args.s)
     res = distance(p, args.src, args.dst)
@@ -127,14 +142,7 @@ def _cmd_distance(args) -> int:
         shifted = [(v + args.src) % p.n for v in res.realized]
         payload["class"] = str(res.argmin_class)
         payload["path"] = render_path(shifted, res.argmin_class)
-    if args.format == "json":
-        print(json.dumps(payload))
-        return 0
-    print(f"distance = {res.value}")
-    if args.witness:
-        print(f"class = {payload['class']}")
-        print(f"path = {payload['path']}")
-    return 0
+    return _print_payload(payload, args.format, ("n", "s", "from", "to"))
 
 
 def _cmd_diameter(args) -> int:
@@ -148,31 +156,12 @@ def _cmd_diameter(args) -> int:
             payload["subcase"] = res.subcase
         if args.witness:
             payload["witness"] = formula_witness(p)
-        if args.format == "json":
-            print(json.dumps(payload))
-            return 0
-        if res is None:
-            print("diameter = null (no closed form)")
-        else:
-            print(f"diameter = {res.value}")
-        print(f"case = {payload['case']}")
-        if res and res.subcase:
-            print(f"subcase = {res.subcase}")
+    else:
+        res = diameter_exact(p) if args.method == "algorithm" else oracle_diameter(p)
+        payload["diameter"] = res.value
         if args.witness:
-            w = payload["witness"]
-            print(f"witness = {w if w is not None else 'null'}")
-        return 0
-    res = diameter_exact(p) if args.method == "algorithm" else oracle_diameter(p)
-    payload["diameter"] = res.value
-    if args.witness:
-        payload["witnesses"] = list(res.witnesses)
-    if args.format == "json":
-        print(json.dumps(payload))
-        return 0
-    print(f"diameter = {res.value}")
-    if args.witness:
-        print("witnesses =", " ".join(map(str, res.witnesses)))
-    return 0
+            payload["witnesses"] = list(res.witnesses)
+    return _print_payload(payload, args.format, ("n", "s", "method"))
 
 
 def _cmd_bounds(args) -> int:
@@ -297,6 +286,9 @@ def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
     """Compute every cell, write the rows to out, return the exit code."""
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, tasks, chunksize=chunk))

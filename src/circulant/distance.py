@@ -4,10 +4,12 @@ d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
 and y chord steps.  The scalar route, distance_from_zero, scans the
 canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
 reports the minimizing class and a realized path; it uses Python integers,
-so it has no range limit.  The bulk route, distance_range, treats the
-minimum as an L1 closest-vector problem in a 2-D lattice: a Gauss-reduced
-basis leaves 4 candidate points per vertex for every chord, evaluated with
-int64 numpy.  The tests hold the bulk route to the scan and to BFS.
+so it has no range limit.  It reads the family table paths.FAMILY_RULES,
+the one canonical_classes reads, and does no family arithmetic itself.  The
+bulk route, distance_range, treats the minimum as an L1 closest-vector
+problem in a 2-D lattice: a Gauss-reduced basis leaves 4 candidate points
+per vertex for every chord, evaluated with int64 numpy.  The tests hold the
+bulk route to the scan and to BFS.
 
 numpy is imported by the first distance_range call, not with this module,
 so a process that only asks scalar queries never loads it.
@@ -20,10 +22,10 @@ from typing import TYPE_CHECKING
 from .bounds import bounds_report
 from .params import CirculantParams, OutOfRangeError, check_vertex
 from .paths import (
-    CCW,
-    CW,
     Family,
     PathClass,
+    build_class,
+    class_lengths,
     realize_path,
     t_range,
     translate_endpoints,
@@ -63,57 +65,19 @@ def wrap_limit(p: CirculantParams) -> int:
     return max(1, min(t_range(p), keep))
 
 
-def _build_class(p: CirculantParams, i: int, family: Family, t: int) -> PathClass:
-    """Materialize one canonical class from its (family, wrap count) tag."""
-    s = p.s
-    if family is Family.P1 or family is Family.P2:
-        q, r = divmod(i, s)
-        if family is Family.P1:
-            return PathClass(r, CW, q, CW, Family.P1)
-        return PathClass(s - r, CCW, q + 1, CW, Family.P2)
-    if family is Family.P1T or family is Family.P2T:
-        q_t, r_t = divmod(t * p.n + i, s)
-        if family is Family.P1T:
-            return PathClass(r_t, CW, q_t, CW, Family.P1T, t)
-        return PathClass(s - r_t, CCW, q_t + 1, CW, Family.P2T, t)
-    q_b, r_b = divmod(t * p.n - i, s)
-    if family is Family.P3T:
-        return PathClass(r_b, CCW, q_b, CCW, Family.P3T, t)
-    return PathClass(s - r_b, CW, q_b + 1, CCW, Family.P4T, t)
-
-
 def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:
     """d(0, i) plus a minimizing class and its realized vertex sequence.
 
     Ties break on (length, family order P1 < P2 < P1T < P2T < P3T < P4T,
     then smallest t) so outputs are reproducible.  i = 0 and i = 1 are
-    immediate; everything else scans the pruned class lengths arithmetically
-    and materializes only the winner.
+    immediate P1 classes; everything else takes the least (length, family,
+    t) tuple of the pruned scan and builds and realizes only the winner.
     """
     check_vertex(p, i)
-    if i == 0:
-        return DistanceResult(0, PathClass(0, CW, 0, CW, Family.P1), (0,))
-    if i == 1:
-        return DistanceResult(1, PathClass(1, CW, 0, CW, Family.P1), (0, 1))
-    n, s = p.n, p.s
-    q, r = divmod(i, s)
-    best = (r + q, Family.P1, 0)
-    cand = (1 + s - r + q, Family.P2, 0)
-    if cand < best:
-        best = cand
-    for t in range(1, wrap_limit(p) + 1):
-        q_t, r_t = divmod(t * n + i, s)
-        q_b, r_b = divmod(t * n - i, s)
-        for cand in (
-            (r_t + q_t, Family.P1T, t),
-            (1 + s - r_t + q_t, Family.P2T, t),
-            (r_b + q_b, Family.P3T, t),
-            (1 + s - r_b + q_b, Family.P4T, t),
-        ):
-            if cand < best:
-                best = cand
-    value, family, t = best
-    pc = _build_class(p, i, family, t)
+    if i < 2:
+        return DistanceResult(i, build_class(p, i, Family.P1), tuple(range(i + 1)))
+    value, family, t = min(class_lengths(p, i, wrap_limit(p)))
+    pc = build_class(p, i, family, t)
     seq, _ = realize_path(p, pc, i)
     return DistanceResult(value, pc, tuple(seq))
 

@@ -10,7 +10,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .diameter import DiameterResult
-from .params import CirculantParams, VertexOutOfRangeError
+from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
+
+# largest n the oracle accepts: its distance list and queue take about
+# 36 bytes per vertex, so 2**24 vertices are ~600 MiB
+_MAX_N = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,10 @@ def build_adjacency(p: CirculantParams) -> ExplicitGraph:
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> list[int]:
-    """Hop distance from source to every vertex, by plain queue BFS."""
+    """Hop distance from source to every vertex, by plain queue BFS; n <= 2**24."""
     n = g.n
+    if n > _MAX_N:
+        raise OutOfRangeError(f"n={n} exceeds 2**24, the BFS oracle's memory limit")
     if not 0 <= source < n:
         raise VertexOutOfRangeError(f"vertex {source} outside [0, {n})")
     offsets = g.offsets

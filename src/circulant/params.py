@@ -13,7 +13,8 @@ from math import gcd
 
 class OutOfRangeError(ValueError):
     """Raised when (n, s) violates n >= 5 or 2 <= s <= (n-1)//2, or when n
-    exceeds what a bounded routine supports (distance_range: n <= 2**40)."""
+    exceeds what a bounded routine supports (distance_range: n <= 2**40;
+    the BFS oracle, bfs_distances: n <= 2**24)."""
 
 
 class VertexOutOfRangeError(ValueError):

@@ -7,6 +7,10 @@ edges it uses and in which direction each kind points.  Six families of
 classes, read off from integer divisions of i, t*n + i and t*n - i by s,
 are guaranteed to contain a shortest path; distance computation is then a
 minimum over their lengths.
+
+The families are defined once, as the rules of FAMILY_RULES.  The scalar
+scan of distance_from_zero and canonical_classes both read that table,
+through class_lengths (lengths only) and build_class (one class).
 """
 from __future__ import annotations
 
@@ -38,12 +42,8 @@ CCW = Direction.COUNTERCLOCKWISE
 
 
 class Family(IntEnum):
-    """The six canonical families; numeric order is the argmin tie-break order.
-
-    P1 takes the leftover unit steps forward then chords forward; P2 overshoots
-    with one extra chord and walks back.  The T variants wrap the ring t extra
-    times before resolving; P3T/P4T resolve t*n - i with backward chords.
-    """
+    """The six canonical families, defined by FAMILY_RULES; numeric order is
+    the argmin tie-break order."""
 
     P1 = 0
     P2 = 1
@@ -86,26 +86,6 @@ class PathClass:
 
 
 @dataclass(frozen=True)
-class ResidueDecomposition:
-    """Quotients/remainders of i, t*n + i and t*n - i by s for one (i, t)."""
-
-    q: int
-    r: int
-    q_t: int
-    r_t: int
-    qbar_t: int
-    rbar_t: int
-
-
-def residues(p: CirculantParams, i: int, t: int) -> ResidueDecomposition:
-    """Divisions by s that parameterize the six families at wrap count t."""
-    q, r = divmod(i, p.s)
-    q_t, r_t = divmod(t * p.n + i, p.s)
-    qbar_t, rbar_t = divmod(t * p.n - i, p.s)
-    return ResidueDecomposition(q=q, r=r, q_t=q_t, r_t=r_t, qbar_t=qbar_t, rbar_t=rbar_t)
-
-
-@dataclass(frozen=True)
 class WalkSpec:
     """Step counts of an arbitrary 0 -> i walk, one field per edge kind."""
 
@@ -128,28 +108,48 @@ def t_range(p: CirculantParams) -> int:
     return p.s // gcd(p.n, p.s)
 
 
-def class_entries(
-    p: CirculantParams, i: int, t_limit: int
-) -> Iterator[tuple[PathClass, int]]:
-    """Yield the canonical classes for i with wrap counts 1..t_limit.
+# One rule per family, in Family order: the sign of i in the dividend
+# t*n + sign*i, and whether the class overshoots by one chord.  With
+# (q, r) = divmod(dividend, s) a class takes q chords and r ring steps, both
+# in the sign's direction, or, when it overshoots, q + 1 chords and s - r
+# ring steps back.  P1 and P2 are the forward pair at t = 0; the T variants
+# wrap the ring t >= 1 times, P3T and P4T with backward chords.
+FAMILY_RULES = (
+    (Family.P1, 1, False),
+    (Family.P2, 1, True),
+    (Family.P1T, 1, False),
+    (Family.P2T, 1, True),
+    (Family.P3T, -1, False),
+    (Family.P4T, -1, True),
+)
 
-    The two wrap-free classes come first: P1 spends the residue of i by s
-    on forward unit steps and the quotient on forward chords; P2 overshoots
-    with one extra chord and walks the complement backward.  Each wrap
-    count t then contributes four classes from the divisions of t*n + i
-    (forward chords) and t*n - i (backward chords) by s.
+
+def class_lengths(
+    p: CirculantParams, i: int, t_limit: int
+) -> Iterator[tuple[int, Family, int]]:
+    """(length, family, t) of each canonical class for i with t <= t_limit.
+
+    P1 and P2 come first with t = 0, then P1T..P4T for t = 1..t_limit.  The
+    tuples order by the argmin tie-break of distance_from_zero, so min() of
+    them is its winner; no PathClass is built.
     """
-    s = p.s
-    q, r = divmod(i, s)
-    yield PathClass(r, CW, q, CW, Family.P1), r + q
-    yield PathClass(s - r, CCW, q + 1, CW, Family.P2), 1 + s - r + q
-    for t in range(1, t_limit + 1):
-        q_t, r_t = divmod(t * p.n + i, s)
-        q_b, r_b = divmod(t * p.n - i, s)
-        yield PathClass(r_t, CW, q_t, CW, Family.P1T, t), r_t + q_t
-        yield PathClass(s - r_t, CCW, q_t + 1, CW, Family.P2T, t), 1 + s - r_t + q_t
-        yield PathClass(r_b, CCW, q_b, CCW, Family.P3T, t), r_b + q_b
-        yield PathClass(s - r_b, CW, q_b + 1, CCW, Family.P4T, t), 1 + s - r_b + q_b
+    n, s = p.n, p.s
+    unwrapped, wrapped = FAMILY_RULES[:2], FAMILY_RULES[2:]
+    for t in range(t_limit + 1):
+        for family, sign, overshoot in wrapped if t else unwrapped:
+            q, r = divmod(t * n + sign * i, s)
+            outer, inner = (s - r, q + 1) if overshoot else (r, q)
+            yield outer + inner, family, t
+
+
+def build_class(p: CirculantParams, i: int, family: Family, t: int = 0) -> PathClass:
+    """The class of i that family yields at wrap count t (t = 0 for P1, P2)."""
+    _, sign, overshoot = FAMILY_RULES[family]
+    q, r = divmod(t * p.n + sign * i, p.s)
+    chords, back = (CW, CCW) if sign > 0 else (CCW, CW)
+    if overshoot:
+        return PathClass(p.s - r, back, q + 1, chords, family, t or None)
+    return PathClass(r, chords, q, chords, family, t or None)
 
 
 def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]:
@@ -159,7 +159,10 @@ def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]
     walks that revisit a vertex, but such entries are never strict minima.
     """
     check_vertex(p, i)
-    return list(class_entries(p, i, t_range(p)))
+    return [
+        (build_class(p, i, family, t), length)
+        for length, family, t in class_lengths(p, i, t_range(p))
+    ]
 
 
 def realize_path(p: CirculantParams, pc: PathClass, i: int) -> tuple[list[int], bool]:
@@ -207,34 +210,6 @@ def translate_endpoints(p: CirculantParams, i: int, j: int) -> int:
     check_vertex(p, i)
     check_vertex(p, j)
     return (j - i) % p.n
-
-
-def classes_equivalent(
-    p: CirculantParams,
-    first: PathClass,
-    second: PathClass,
-    first_endpoints: tuple[int, int] | None = None,
-    second_endpoints: tuple[int, int] | None = None,
-) -> bool:
-    """Structural equality of two classes between the same translated endpoints.
-
-    True iff lengths, per-kind edge counts and directions all agree.  When
-    endpoint pairs are supplied they are translated to 0 -> k form first and
-    distinct targets make the classes inequivalent outright; without them the
-    caller vouches that both classes address the same target.
-    """
-    if first_endpoints is not None and second_endpoints is not None:
-        k1 = translate_endpoints(p, *first_endpoints)
-        k2 = translate_endpoints(p, *second_endpoints)
-        if k1 != k2:
-            return False
-    return (
-        first.length == second.length
-        and first.outer_count == second.outer_count
-        and first.inner_count == second.inner_count
-        and first.outer_dir is second.outer_dir
-        and first.inner_dir is second.inner_dir
-    )
 
 
 def render_path(seq: list[int], pc: PathClass) -> str:

@@ -6,10 +6,12 @@ exercise exactly what a shell invocation would, including exit codes.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,93 @@ def test_diameter_oracle_method(capsys):
     code, out, _ = run_cli(capsys, ["diameter", "--n", "13", "--s", "5", "--method", "oracle"])
     assert code == 0
     assert out.splitlines()[0] == "diameter = 2"
+
+
+# Whole stdout of `distance`, `diameter` and `bounds`, byte for byte.
+# C_13(1,5) has a subcase line and no constructed witness, C_10(1,4) has no
+# closed form and C_16(1,5) has a constructed witness.
+_C13 = ["--n", "13", "--s", "5"]
+_C13_FORMULA = "diameter = 2\ncase = lambda_le_gamma\nsubcase = p1_minus_1\n"
+_C13_FORMULA_JSON = (
+    '{"n": 13, "s": 5, "method": "formula", "diameter": 2, '
+    '"case": "lambda_le_gamma", "subcase": "p1_minus_1"'
+)
+_GOLDEN = [
+    *[
+        (["diameter", *_C13, "--method", method, *extra], expected)
+        for method in ("algorithm", "oracle")
+        for extra, expected in [
+            ([], "diameter = 2\n"),
+            (["--witness"], "diameter = 2\nwitnesses = 2 3 4 6\n"),
+            (
+                ["--format", "json"],
+                f'{{"n": 13, "s": 5, "method": "{method}", "diameter": 2}}\n',
+            ),
+            (
+                ["--format", "json", "--witness"],
+                f'{{"n": 13, "s": 5, "method": "{method}", "diameter": 2, '
+                '"witnesses": [2, 3, 4, 6]}\n',
+            ),
+        ]
+    ],
+    (["diameter", *_C13, "--method", "formula"], _C13_FORMULA),
+    (["diameter", *_C13, "--method", "formula", "--witness"], _C13_FORMULA + "witness = null\n"),
+    (["diameter", *_C13, "--method", "formula", "--format", "json"], _C13_FORMULA_JSON + "}\n"),
+    (
+        ["diameter", *_C13, "--method", "formula", "--format", "json", "--witness"],
+        _C13_FORMULA_JSON + ', "witness": null}\n',
+    ),
+    (
+        ["diameter", "--n", "10", "--s", "4", "--method", "formula"],
+        "diameter = null (no closed form)\ncase = uncovered\n",
+    ),
+    (
+        ["diameter", "--n", "10", "--s", "4", "--method", "formula", "--witness"],
+        "diameter = null (no closed form)\ncase = uncovered\nwitness = null\n",
+    ),
+    (
+        ["diameter", "--n", "10", "--s", "4", "--method", "formula", "--format", "json"],
+        '{"n": 10, "s": 4, "method": "formula", "diameter": null, "case": "uncovered"}\n',
+    ),
+    (
+        ["diameter", "--n", "10", "--s", "4", "--method", "formula", "--format", "json", "--witness"],
+        '{"n": 10, "s": 4, "method": "formula", "diameter": null, "case": "uncovered", '
+        '"witness": null}\n',
+    ),
+    (
+        ["diameter", "--n", "16", "--s", "5", "--method", "formula", "--witness"],
+        "diameter = 4\ncase = even_odd\nwitness = 8\n",
+    ),
+    (
+        ["diameter", "--n", "16", "--s", "5", "--method", "formula", "--format", "json", "--witness"],
+        '{"n": 16, "s": 5, "method": "formula", "diameter": 4, "case": "even_odd", '
+        '"witness": 8}\n',
+    ),
+    (
+        ["distance", "--n", "16", "--s", "5", "--from", "3", "--to", "12", "--witness"],
+        "distance = 3\nclass = (1a-, 2c+)\npath = 3 ->a- 2 ->c+ 7 ->c+ 12\n",
+    ),
+    (
+        ["distance", "--n", "16", "--s", "5", "--from", "3", "--to", "12", "--witness",
+         "--format", "json"],
+        '{"n": 16, "s": 5, "from": 3, "to": 12, "distance": 3, "class": "(1a-, 2c+)", '
+        '"path": "3 ->a- 2 ->c+ 7 ->c+ 12"}\n',
+    ),
+    (["bounds", *_C13], "du=3 gn=3 new=4 combined=3 diam=2 slack=1\n"),
+    (
+        ["bounds", *_C13, "--format", "json"],
+        '{"n": 13, "s": 5, "du": 3, "gobel_neutel": 3, "new_bound": 4, "combined": 3, '
+        '"diam_algorithm": 2, "slack": 1}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", _GOLDEN, ids=[" ".join(argv) for argv, _ in _GOLDEN]
+)
+def test_stdout_is_golden(capsys, argv, expected):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (0, expected, "")
 
 
 # ---------------------------------------------------------------- bounds
@@ -307,7 +396,7 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     # n in [9, 10] has 6 cells, n = 7 has 2, n = 5 has 1 (no pool at all)
     for n_min, n_max in [("9", "10"), ("7", "7"), ("5", "5")]:
@@ -330,13 +419,14 @@ def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_p
 
 # ---------------------------------------------------------------- cold start
 
-# Run in one fresh interpreter; each step records whether numpy is loaded
-# after it.  Only the bulk kernel, here through diameter_exact, may load it.
+# Run in one fresh interpreter; each step records whether numpy and the
+# process pool are loaded after it.  Only the bulk kernel, here through
+# diameter_exact, may load numpy; only sweep --jobs > 1 needs the pool.
 _COLD_START = """
 import json, sys
 steps = []
 def step(name):
-    steps.append([name, "numpy" in sys.modules])
+    steps.append([name, "numpy" in sys.modules, "concurrent.futures.process" in sys.modules])
 import circulant, circulant.cli
 from circulant import CirculantParams, bounds_report, diameter_formula, formula_witness
 step("import")
@@ -363,8 +453,9 @@ def test_scalar_routes_leave_numpy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.splitlines()[-1])
-    assert steps[-1] == ["diameter_exact", True]
-    assert [name for name, loaded in steps if loaded] == ["diameter_exact"]
+    assert steps[-1][:2] == ["diameter_exact", True]
+    assert [name for name, loaded, _ in steps if loaded] == ["diameter_exact"]
+    assert [name for name, _, pool in steps[:-1] if pool] == []
 
 
 # ---------------------------------------------------------------- failures
@@ -397,6 +488,19 @@ def test_n_above_kernel_range_exits_1(capsys, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "2**40" in err
+
+
+def test_oracle_above_its_range_exits_1_at_once(capsys):
+    # bfs_distances used to allocate its n-slot list first: a MemoryError
+    # traceback, or the host's memory exhausted
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["diameter", "--method", "oracle", "--n", "10000000000", "--s", "3"]
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "2**24" in err
 
 
 def test_sweep_bad_s_string_exits_1(capsys):

@@ -61,12 +61,18 @@ def test_rejects_out_of_range():
 
 
 def test_value_is_min_over_all_canonical_classes():
-    # the scalar scan prunes large wrap counts; the full list must agree
+    # the scalar scan prunes large wrap counts; the full list must agree on
+    # the value and, under the (length, family, t) tie-break, on the class
     for n, s in [(10, 4), (13, 5), (31, 7), (47, 23), (60, 29), (101, 50)]:
         p = CirculantParams(n, s)
         for i in range(p.n):
-            full_min = min(length for _, length in canonical_classes(p, i))
-            assert distance_from_zero(p, i).value == full_min, (n, s, i)
+            first, full_min = min(
+                canonical_classes(p, i),
+                key=lambda entry: (entry[1], entry[0].family, entry[0].t or 0),
+            )
+            res = distance_from_zero(p, i)
+            assert res.value == full_min, (n, s, i)
+            assert res.argmin_class == first, (n, s, i)
 
 
 def test_matches_bfs_on_sample_cells():
