@@ -16,7 +16,7 @@ from .bounds import bounds_report
 from .diameter import diameter_exact
 from .distance import distance
 from .formulas import diameter_formula, formula_witness
-from .oracle import oracle_diameter
+from .oracle import check_oracle_n, oracle_diameter
 from .params import (
     CirculantParams,
     OutOfRangeError,
@@ -225,19 +225,31 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
+def _emit_rows(rows, fmt: str, out) -> bool:
+    """Write each row as it arrives; True if any enabled cross-check failed.
+
+    The json format writes the bytes of json.dumps(list(rows), indent=2)
+    without holding the list.
+    """
+    failed = False
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_field(row[c]) for c in _SWEEP_COLUMNS])
     elif fmt == "json":
-        out.write(json.dumps(rows, indent=2))
-        out.write("\n")
-    else:  # ndjson
-        for row in rows:
-            out.write(json.dumps(row))
-            out.write("\n")
+        out.write("[")
+    sep = "\n"
+    for row in rows:
+        if fmt == "csv":
+            writer.writerow([_csv_field(row[c]) for c in _SWEEP_COLUMNS])
+        elif fmt == "json":
+            out.write(sep + "  " + json.dumps(row, indent=2).replace("\n", "\n  "))
+            sep = ",\n"
+        else:  # ndjson
+            out.write(json.dumps(row) + "\n")
+        failed = failed or row["agree_formula"] is False or row["agree_oracle"] is False
+    if fmt == "json":
+        out.write("]\n" if sep == "\n" else "\n]\n")
+    return failed
 
 
 def _cmd_sweep(args) -> int:
@@ -264,9 +276,12 @@ def _cmd_sweep(args) -> int:
             if not 2 <= s <= (n - 1) // 2:
                 continue
             verify = args.verify_oracle
-            if verify and n > _ORACLE_N_CAP and not args.force_oracle:
-                verify = False
-                skipped_oracle = True
+            if verify and n > _ORACLE_N_CAP:
+                if args.force_oracle:
+                    check_oracle_n(n)  # fail before any cell, not midway
+                else:
+                    verify = False
+                    skipped_oracle = True
             tasks.append((n, s, verify))
     if skipped_oracle:
         print(
@@ -283,7 +298,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
-    """Compute every cell, write the rows to out, return the exit code."""
+    """Compute every cell, streaming the rows to out in task order; exit code."""
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         # imported here: it loads multiprocessing, which nothing else needs
@@ -291,14 +306,9 @@ def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
 
         chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
+            failed = _emit_rows(pool.map(_sweep_cell, tasks, chunksize=chunk), args.format, out)
     else:
-        rows = [_sweep_cell(t) for t in tasks]
-    _emit_rows(rows, args.format, out)
-
-    failed = any(
-        row[key] is False for row in rows for key in ("agree_formula", "agree_oracle")
-    )
+        failed = _emit_rows(map(_sweep_cell, tasks), args.format, out)
     return 2 if failed else 0
 
 

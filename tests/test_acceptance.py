@@ -78,6 +78,7 @@ def grid_audit():
         "symmetry_mismatch": [],
         "scalar_mismatch": [],
         "diameter_mismatch": [],
+        "oracle_route_mismatch": [],
         "formula_mismatch": [],
         "covered": 0,
         "uncovered": 0,
@@ -110,6 +111,13 @@ def grid_audit():
         orac = oracle_diameter(p)
         if (exact.value, exact.witnesses) != (orac.value, orac.witnesses):
             report["diameter_mismatch"].append((n, s, exact.value, orac.value))
+        # oracle_diameter takes its own BFS route at these n; hold it to dist
+        ecc = max(dist)
+        if (orac.value, orac.witnesses) != (
+            ecc,
+            tuple(i for i in range(2, half + 1) if dist[i] == ecc),
+        ):
+            report["oracle_route_mismatch"].append((n, s, orac.value, ecc))
 
         formula = diameter_formula(p)
         if formula is None:
@@ -141,12 +149,14 @@ def test_criterion_1_oracle_equivalence(grid_audit):
         + grid_audit["symmetry_mismatch"]
         + grid_audit["scalar_mismatch"]
         + grid_audit["diameter_mismatch"]
+        + grid_audit["oracle_route_mismatch"]
     )
     within_budget = grid_audit["elapsed"] < 120.0
     detail = (
         f"distances and diameters equal the BFS oracle on {grid_audit['cells']} cells "
         f"(kernel checked for every vertex; scalar checked on {grid_audit['scalar_calls']} calls, "
-        f"exhaustive for n <= {SCALAR_DENSE_N_MAX}; diameter witnesses compared exactly) "
+        f"exhaustive for n <= {SCALAR_DENSE_N_MAX}; diameter witnesses compared exactly, "
+        f"and oracle_diameter held to the queue BFS's distances) "
         f"in {grid_audit['elapsed']:.1f}s"
     )
     _report(1, not bad and within_budget, detail)

@@ -417,6 +417,61 @@ def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_p
     assert err.startswith("error: ") and str(target) in err
 
 
+def test_sweep_forced_oracle_above_its_limit_exits_1_before_any_cell(capsys, monkeypatch):
+    def no_cells(task):
+        raise AssertionError(f"cell {task} computed before the oracle limit was checked")
+
+    monkeypatch.setattr(cli, "_sweep_cell", no_cells)
+    argv = [
+        "sweep", "--n-min", "16777214", "--n-max", "16777217", "--s", "3",
+        "--verify-oracle", "--force-oracle",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: n=16777217") and "2**24" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "ndjson"])
+def test_streamed_sweep_is_identical_across_jobs(capsys, tmp_path, fmt):
+    args = ["sweep", "--n-min", "5", "--n-max", "24", "--verify-oracle", "--format", fmt]
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    assert cli.main([*args, "--out", str(serial)]) == 0
+    assert cli.main([*args, "--jobs", "2", "--out", str(parallel)]) == 0
+    capsys.readouterr()
+    text = serial.read_text()
+    assert text == parallel.read_text()
+    if fmt == "json":
+        rows = json.loads(text)
+    else:
+        rows = [json.loads(line) for line in text.splitlines()]
+    assert len(rows) == sum((n - 1) // 2 - 1 for n in range(5, 25))
+    # rows are written one by one; the bytes are those of the whole list
+    if fmt == "json":
+        assert text == json.dumps(rows, indent=2) + "\n"
+    else:
+        assert text == "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def test_streamed_json_of_empty_sweep_is_empty_array(capsys):
+    code, out, _ = run_cli(capsys, ["sweep", "--n-min", "9", "--n-max", "8", "--format", "json"])
+    assert code == 0
+    assert out == "[]\n"
+
+
+def test_streamed_sweep_mismatch_before_last_row_exits_2(capsys, monkeypatch):
+    def wrong_on_12(p):
+        return FormulaResult(value=99 if p.n == 12 else 3, case=FormulaCase.GAMMA_ZERO)
+
+    monkeypatch.setattr(cli, "diameter_formula", wrong_on_12)
+    code, out, _ = run_cli(
+        capsys, ["sweep", "--n-min", "12", "--n-max", "13", "--s", "3", "--format", "ndjson"]
+    )
+    assert code == 2
+    assert [json.loads(line)["agree_formula"] for line in out.splitlines()] == [False, True]
+
+
 # ---------------------------------------------------------------- cold start
 
 # Run in one fresh interpreter; each step records whether numpy and the

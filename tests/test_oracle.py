@@ -1,4 +1,6 @@
 """Explicit adjacency and breadth-first search ground truth."""
+import math
+
 import pytest
 
 from circulant import (
@@ -6,6 +8,7 @@ from circulant import (
     VertexOutOfRangeError,
     bfs_distances,
     build_adjacency,
+    oracle,
     oracle_diameter,
 )
 
@@ -81,3 +84,45 @@ def test_all_sources_agree_on_small_graphs():
         single = oracle_diameter(CirculantParams(n, s))
         checked = oracle_diameter(CirculantParams(n, s), all_sources=True)
         assert single == checked
+
+
+def _queue_diameter(p):
+    """Diameter and witnesses read off the queue BFS's distance list."""
+    dist = bfs_distances(build_adjacency(p), 0)
+    value = max(dist)
+    return value, tuple(i for i in range(2, p.half + 1) if dist[i] == value)
+
+
+_ROUTE_BOUNDARY = [
+    (n, s) for n in (2047, 2048, 2049) for s in sorted({2, 3, math.isqrt(n), (n - 1) // 2})
+]
+
+
+@pytest.mark.parametrize("n, s", _ROUTE_BOUNDARY)
+def test_diameter_matches_queue_bfs_at_route_boundary(n, s):
+    p = CirculantParams(n, s)
+    res = oracle_diameter(p)
+    assert (res.value, res.witnesses) == _queue_diameter(p)
+
+
+def test_diameter_matches_queue_bfs_on_small_cells():
+    for n in range(5, 41):
+        for s in range(2, (n - 1) // 2 + 1):
+            p = CirculantParams(n, s)
+            res = oracle_diameter(p)
+            assert (res.value, res.witnesses) == _queue_diameter(p), (n, s)
+
+
+def test_diameter_route_is_chosen_by_n(monkeypatch):
+    calls = []
+    queue_bfs = oracle.bfs_distances
+
+    def counted(g, source):
+        calls.append(g.n)
+        return queue_bfs(g, source)
+
+    monkeypatch.setattr(oracle, "bfs_distances", counted)
+    oracle_diameter(CirculantParams(2048, 45))
+    assert calls == []  # bitmask route
+    oracle_diameter(CirculantParams(2049, 45))
+    assert calls == [2049]
