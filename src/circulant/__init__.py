@@ -12,7 +12,7 @@ kernel (distance_range, and through it diameter_exact and
 eccentricity_profile) loads it, so scalar queries, bounds, closed forms and
 the oracle start without paying for it.
 """
-from .bounds import BoundsReport, bounds_report
+from .bounds import bounds_report
 from .diameter import DiameterResult, diameter_exact, eccentricity_profile
 from .distance import DistanceResult, distance, distance_from_zero, distance_range
 from .formulas import (
@@ -22,19 +22,16 @@ from .formulas import (
     diameter_formula,
     formula_witness,
 )
-from .oracle import ExplicitGraph, bfs_distances, build_adjacency, oracle_diameter
+from .oracle import bfs_distances, build_adjacency, oracle_diameter
 from .params import (
     CirculantParams,
-    DecompositionContext,
     OutOfRangeError,
     VertexOutOfRangeError,
     decompose,
     validate_params,
 )
 from .paths import (
-    Direction,
     Family,
-    InconsistentClassError,
     PathClass,
     WalkSpec,
     canonical_classes,
@@ -47,17 +44,12 @@ from .paths import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport",
     "CirculantParams",
-    "DecompositionContext",
     "DiameterResult",
-    "Direction",
     "DistanceResult",
-    "ExplicitGraph",
     "Family",
     "FormulaCase",
     "FormulaResult",
-    "InconsistentClassError",
     "OutOfRangeError",
     "PathClass",
     "VertexOutOfRangeError",

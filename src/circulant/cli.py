@@ -301,12 +301,14 @@ def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
     """Compute every cell, streaming the rows to out in task order; exit code."""
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
-        # imported here: it loads multiprocessing, which nothing else needs
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here: nothing else needs multiprocessing
+        import multiprocessing
 
         chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            failed = _emit_rows(pool.map(_sweep_cell, tasks, chunksize=chunk), args.format, out)
+        # leaving the block terminates the workers, so a reader that closes
+        # early (BrokenPipeError) does not wait for the rest of the grid
+        with multiprocessing.Pool(jobs) as pool:
+            failed = _emit_rows(pool.imap(_sweep_cell, tasks, chunk), args.format, out)
     else:
         failed = _emit_rows(map(_sweep_cell, tasks), args.format, out)
     return 2 if failed else 0

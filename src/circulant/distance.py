@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from .bounds import bounds_report
 from .params import CirculantParams, OutOfRangeError, check_vertex
 from .paths import (
-    Family,
     PathClass,
     build_class,
     class_lengths,
@@ -69,13 +68,11 @@ def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:
     """d(0, i) plus a minimizing class and its realized vertex sequence.
 
     Ties break on (length, family order P1 < P2 < P1T < P2T < P3T < P4T,
-    then smallest t) so outputs are reproducible.  i = 0 and i = 1 are
-    immediate P1 classes; everything else takes the least (length, family,
-    t) tuple of the pruned scan and builds and realizes only the winner.
+    then smallest t) so outputs are reproducible.  Takes the least (length,
+    family, t) tuple of the pruned scan and builds and realizes only the
+    winner.
     """
     check_vertex(p, i)
-    if i < 2:
-        return DistanceResult(i, build_class(p, i, Family.P1), tuple(range(i + 1)))
     value, family, t = min(class_lengths(p, i, wrap_limit(p)))
     pc = build_class(p, i, family, t)
     seq, _ = realize_path(p, pc, i)

@@ -48,16 +48,6 @@ class ExplicitGraph:
     n: int
     offsets: tuple[int, int, int, int]
 
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted neighbor list of v."""
-        n = self.n
-        out = []
-        for off in self.offsets:
-            w = v + off
-            out.append(w - n if w >= n else w)
-        out.sort()
-        return out
-
 
 def build_adjacency(p: CirculantParams) -> ExplicitGraph:
     """The explicit graph for p; connected since step 1 generates the ring."""

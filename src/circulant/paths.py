@@ -2,8 +2,9 @@
 
 Every walk in C_n(1, s) mixes unit steps along the ring (outer edges, +-1)
 with chord steps (inner edges, +-s).  Up to reordering and cancellation,
-a walk from 0 to i is summarized by a *class*: how many outer and inner
-edges it uses and in which direction each kind points.  Six families of
+a walk from 0 to i is summarized by a *class*: the lattice point (x, y)
+with x + s*y = i (mod n), x its net ring steps and y its net chord steps,
+each positive clockwise, so it takes |x| + |y| edges.  Six families of
 classes, read off from integer divisions of i, t*n + i and t*n - i by s,
 are guaranteed to contain a shortest path; distance computation is then a
 minimum over their lengths.
@@ -15,7 +16,7 @@ through class_lengths (lengths only) and build_class (one class).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from math import gcd
 from typing import Iterator
 
@@ -24,21 +25,6 @@ from .params import CirculantParams, check_vertex
 
 class InconsistentClassError(ValueError):
     """Raised when a class is realized against a vertex it does not reach."""
-
-
-class Direction(Enum):
-    """Traversal sense around the ring: '+' is clockwise (increasing ids)."""
-
-    CLOCKWISE = "+"
-    COUNTERCLOCKWISE = "-"
-
-    @property
-    def sign(self) -> int:
-        return 1 if self is Direction.CLOCKWISE else -1
-
-
-CW = Direction.CLOCKWISE
-CCW = Direction.COUNTERCLOCKWISE
 
 
 class Family(IntEnum):
@@ -55,34 +41,31 @@ class Family(IntEnum):
 
 @dataclass(frozen=True)
 class PathClass:
-    """One canonical class: counts and directions of each edge kind.
+    """One canonical class: the signed ring and chord steps (x, y) of a walk.
 
-    Zero-count segments are canonicalized to clockwise so that structural
-    equality is well defined.  family/t record which construction produced
-    the class; they are None for classes recovered from raw walks.
+    Positive counts step clockwise (increasing ids), negative ones
+    counterclockwise.  family/t record which construction produced the
+    class; they are None for classes recovered from raw walks.
     """
 
-    outer_count: int
-    outer_dir: Direction
-    inner_count: int
-    inner_dir: Direction
+    x: int
+    y: int
     family: Family | None = None
     t: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.outer_count == 0 and self.outer_dir is not CW:
-            object.__setattr__(self, "outer_dir", CW)
-        if self.inner_count == 0 and self.inner_dir is not CW:
-            object.__setattr__(self, "inner_dir", CW)
-
     @property
     def length(self) -> int:
-        return self.outer_count + self.inner_count
+        return abs(self.x) + abs(self.y)
 
     def __str__(self) -> str:
-        outer = f"{self.outer_count}a{self.outer_dir.value}" if self.outer_count else "0"
-        inner = f"{self.inner_count}c{self.inner_dir.value}" if self.inner_count else "0"
+        outer = f"{abs(self.x)}{_label(self.x, 'a')}" if self.x else "0"
+        inner = f"{abs(self.y)}{_label(self.y, 'c')}" if self.y else "0"
         return f"({outer}, {inner})"
+
+
+def _label(count: int, kind: str) -> str:
+    """'a+' for a clockwise ring step, 'c-' for a counterclockwise chord."""
+    return kind + ("+" if count > 0 else "-")
 
 
 @dataclass(frozen=True)
@@ -146,10 +129,8 @@ def build_class(p: CirculantParams, i: int, family: Family, t: int = 0) -> PathC
     """The class of i that family yields at wrap count t (t = 0 for P1, P2)."""
     _, sign, overshoot = FAMILY_RULES[family]
     q, r = divmod(t * p.n + sign * i, p.s)
-    chords, back = (CW, CCW) if sign > 0 else (CCW, CW)
-    if overshoot:
-        return PathClass(p.s - r, back, q + 1, chords, family, t or None)
-    return PathClass(r, chords, q, chords, family, t or None)
+    x, y = (r - p.s, q + 1) if overshoot else (r, q)
+    return PathClass(sign * x, sign * y, family, t or None)
 
 
 def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]:
@@ -176,33 +157,23 @@ def realize_path(p: CirculantParams, pc: PathClass, i: int) -> tuple[list[int], 
     n = p.n
     seq = [0]
     v = 0
-    step = pc.outer_dir.sign
-    for _ in range(pc.outer_count):
-        v = (v + step) % n
-        seq.append(v)
-    step = pc.inner_dir.sign * p.s
-    for _ in range(pc.inner_count):
-        v = (v + step) % n
-        seq.append(v)
+    for count, unit in ((pc.x, 1), (pc.y, p.s)):
+        step = unit if count > 0 else -unit
+        for _ in range(abs(count)):
+            v = (v + step) % n
+            seq.append(v)
     if v != i % n:
         raise InconsistentClassError(f"class {pc} ends at {v}, not {i}")
     return seq, len(set(seq)) == len(seq)
 
 
 def reduce_walk(p: CirculantParams, w: WalkSpec) -> PathClass:
-    """Cancel opposing steps of a walk; net counts keep the majority direction.
+    """Cancel opposing steps of a walk, leaving its net (x, y).
 
     The result has the same endpoint as the walk and length at most the
     walk's length.  family/t are None: the reduction forgets provenance.
     """
-    net_outer = w.plus_outer - w.minus_outer
-    net_inner = w.plus_inner - w.minus_inner
-    return PathClass(
-        abs(net_outer),
-        CW if net_outer >= 0 else CCW,
-        abs(net_inner),
-        CW if net_inner >= 0 else CCW,
-    )
+    return PathClass(w.plus_outer - w.minus_outer, w.plus_inner - w.minus_inner)
 
 
 def translate_endpoints(p: CirculantParams, i: int, j: int) -> int:
@@ -216,9 +187,7 @@ def render_path(seq: list[int], pc: PathClass) -> str:
     """Debug/CLI rendering: '0 ->a+ 1 ->a+ 2 ->c+ 6'."""
     if len(seq) == 1:
         return str(seq[0])
-    labels = [f"a{pc.outer_dir.value}"] * pc.outer_count + [
-        f"c{pc.inner_dir.value}"
-    ] * pc.inner_count
+    labels = [_label(pc.x, "a")] * abs(pc.x) + [_label(pc.y, "c")] * abs(pc.y)
     parts = [str(seq[0])]
     for label, v in zip(labels, seq[1:]):
         parts.append(f"->{label}")

@@ -6,8 +6,8 @@ exercise exactly what a shell invocation would, including exit codes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -384,8 +384,8 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
     workers = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+        def __init__(self, processes):
+            workers.append(processes)
 
         def __enter__(self):
             return self
@@ -393,16 +393,55 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def imap(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     # n in [9, 10] has 6 cells, n = 7 has 2, n = 5 has 1 (no pool at all)
     for n_min, n_max in [("9", "10"), ("7", "7"), ("5", "5")]:
         argv = ["sweep", "--n-min", n_min, "--n-max", n_max, "--jobs", "64", "--out", os.devnull]
         assert cli.main(argv) == 0
     assert workers == [4, 2]
+
+
+_SWEEP_CELL = cli._sweep_cell
+
+
+def _logged_sweep_cell(task):
+    """cli._sweep_cell that also appends one byte per cell to a log file.
+
+    Module-level, so pool workers can unpickle it; they inherit the log path
+    through the environment.  The sleep makes the 400 cells take long next
+    to the pool's own start and stop.
+    """
+    with open(os.environ["CIRC_TEST_CELL_LOG"], "a", encoding="utf-8") as fh:
+        fh.write(".")
+    time.sleep(0.005)
+    return _SWEEP_CELL(task)
+
+
+def test_sweep_pool_stops_when_the_reader_closes_early(monkeypatch, tmp_path):
+    class ClosedAfterFirstRow:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:  # the csv header, then one row
+                raise BrokenPipeError
+            return len(text)
+
+    log = tmp_path / "cells.log"
+    log.write_text("")
+    monkeypatch.setenv("CIRC_TEST_CELL_LOG", str(log))
+    monkeypatch.setattr(cli, "_sweep_cell", _logged_sweep_cell)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [(n, s, False) for n in range(5, 70) for s in range(2, (n - 1) // 2 + 1)][:400]
+    assert len(tasks) == 400
+    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "5", "--jobs", "2"])
+    with pytest.raises(BrokenPipeError):
+        cli._run_sweep(tasks, args, ClosedAfterFirstRow())
+    assert len(log.read_text()) < len(tasks) // 2
 
 
 def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_path):
@@ -481,7 +520,7 @@ _COLD_START = """
 import json, sys
 steps = []
 def step(name):
-    steps.append([name, "numpy" in sys.modules, "concurrent.futures.process" in sys.modules])
+    steps.append([name, "numpy" in sys.modules, "multiprocessing.pool" in sys.modules])
 import circulant, circulant.cli
 from circulant import CirculantParams, bounds_report, diameter_formula, formula_witness
 step("import")

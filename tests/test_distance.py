@@ -27,6 +27,8 @@ def test_chord_back_step():
     assert res.value == 1
     assert res.argmin_class.family is Family.P3T
     assert res.argmin_class.t == 1
+    assert (res.argmin_class.x, res.argmin_class.y) == (0, -1)
+    assert str(res.argmin_class) == "(0, 1c-)"
     assert res.realized == (0, 6)
 
 

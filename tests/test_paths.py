@@ -3,9 +3,7 @@ import pytest
 
 from circulant import (
     CirculantParams,
-    Direction,
     Family,
-    InconsistentClassError,
     PathClass,
     VertexOutOfRangeError,
     WalkSpec,
@@ -15,7 +13,7 @@ from circulant import (
     render_path,
     translate_endpoints,
 )
-from circulant.paths import CCW, CW, t_range
+from circulant.paths import InconsistentClassError, t_range
 
 P10 = CirculantParams(10, 4)
 
@@ -32,19 +30,19 @@ def test_known_class_table_for_vertex_six():
     assert len(entries) == 2 + 4 * t_range(P10)
 
     pc, length = _by_family(entries, Family.P1)
-    assert (pc.outer_count, pc.outer_dir, pc.inner_count, pc.inner_dir) == (2, CW, 1, CW)
+    assert (pc.x, pc.y) == (2, 1)
     assert length == 3
 
     pc, length = _by_family(entries, Family.P2)
-    assert (pc.outer_count, pc.outer_dir, pc.inner_count, pc.inner_dir) == (2, CCW, 2, CW)
+    assert (pc.x, pc.y) == (-2, 2)
     assert length == 4
 
     pc, length = _by_family(entries, Family.P1T, t=1)
-    assert (pc.outer_count, pc.inner_count, pc.inner_dir) == (0, 4, CW)
+    assert (pc.x, pc.y) == (0, 4)
     assert length == 4
 
     pc, length = _by_family(entries, Family.P3T, t=1)
-    assert (pc.outer_count, pc.inner_count, pc.inner_dir) == (0, 1, CCW)
+    assert (pc.x, pc.y) == (0, -1)
     assert length == 1
 
 
@@ -76,7 +74,7 @@ def test_realize_wrapped_class():
 
 
 def test_realize_empty_class_at_zero():
-    seq, genuine = realize_path(P10, PathClass(0, CW, 0, CW), 0)
+    seq, genuine = realize_path(P10, PathClass(0, 0), 0)
     assert seq == [0]
     assert genuine
 
@@ -89,20 +87,20 @@ def test_realize_rejects_wrong_target():
 
 def test_reduce_cancelling_walk():
     pc = reduce_walk(P10, WalkSpec(1, 1, 2, 3))
-    assert (pc.outer_count, pc.inner_count, pc.inner_dir) == (0, 1, CCW)
+    assert (pc.x, pc.y) == (0, -1)
     assert pc.family is None and pc.t is None
 
 
 def test_reduce_canonical_walk_is_identity():
     pc = reduce_walk(P10, WalkSpec(3, 0, 2, 0))
-    assert (pc.outer_count, pc.outer_dir, pc.inner_count, pc.inner_dir) == (3, CW, 2, CW)
+    assert (pc.x, pc.y) == (3, 2)
     assert pc.length == 5
 
 
 def test_reduce_fully_cancelling_walk():
     pc = reduce_walk(P10, WalkSpec(2, 2, 3, 3))
     assert pc.length == 0
-    assert (pc.outer_dir, pc.inner_dir) == (CW, CW)
+    assert (pc.x, pc.y) == (0, 0)
 
 
 def test_translate_examples():
@@ -111,20 +109,11 @@ def test_translate_examples():
     assert translate_endpoints(P10, 6, 2) == 6
 
 
-def test_zero_count_direction_is_canonical():
-    assert PathClass(0, CCW, 1, CCW).outer_dir is CW
-    assert PathClass(1, CCW, 0, CCW).inner_dir is CW
-
-
 def test_distinct_t_entries_are_inequivalent_within_family():
     p = CirculantParams(31, 7)
     entries = canonical_classes(p, 5)
     for family in (Family.P1T, Family.P2T, Family.P3T, Family.P4T):
-        shapes = [
-            (pc.outer_count, pc.outer_dir, pc.inner_count, pc.inner_dir)
-            for pc, _ in entries
-            if pc.family is family
-        ]
+        shapes = [(pc.x, pc.y) for pc, _ in entries if pc.family is family]
         assert len(shapes) == t_range(p)
         assert len(set(shapes)) == len(shapes)
 
@@ -133,9 +122,4 @@ def test_render_format():
     pc = _by_family(canonical_classes(P10, 6), Family.P1)[0]
     seq, _ = realize_path(P10, pc, 6)
     assert render_path(seq, pc) == "0 ->a+ 1 ->a+ 2 ->c+ 6"
-    assert render_path([0], PathClass(0, CW, 0, CW)) == "0"
-
-
-def test_direction_signs():
-    assert Direction.CLOCKWISE.sign == 1
-    assert Direction.COUNTERCLOCKWISE.sign == -1
+    assert render_path([0], PathClass(0, 0)) == "0"
