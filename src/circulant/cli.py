@@ -3,17 +3,26 @@
 Exit codes: 0 success, 1 usage error, 2 verification mismatch in a sweep.
 Sweep output is deterministic (n ascending, s ascending) regardless of
 --jobs, so golden files and diffs stay stable.
+
+A sweep works per n: each n's chords get their diameters from one batched
+kernel call (diameters_exact), and the worker that computed them also
+formats the rows, so the parent only writes text.  Tasks of whole n are
+made as they are consumed, and the cell count, the oracle warning and the
+oracle's limit come from range arithmetic, so memory does not grow with
+the grid.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 from .bounds import bounds_report
-from .diameter import diameter_exact
+from .diameter import diameter_exact, diameters_exact
 from .distance import distance
 from .formulas import diameter_formula, formula_witness
 from .oracle import check_oracle_n, oracle_diameter
@@ -27,6 +36,8 @@ from .paths import render_path
 
 # verify-oracle cutoff: BFS is O(n) per cell but grids are O(n^2) cells
 _ORACLE_N_CAP = 2000
+# most cells in one pool task, so that the rows a worker holds stay few
+_TASK_CELLS = 1024
 
 _SWEEP_COLUMNS = [
     "n",
@@ -192,29 +203,33 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _sweep_cell(task: tuple[int, int, bool]) -> dict:
-    """One sweep row; module-level so worker processes can import it."""
-    n, s, verify = task
-    p = CirculantParams(n, s)
-    exact = diameter_exact(p)
-    formula = diameter_formula(p)
-    rep = bounds_report(p)
-    oracle_value = oracle_diameter(p).value if verify else None
-    return {
-        "n": n,
-        "s": s,
-        "diam_algorithm": exact.value,
-        "diam_formula": formula.value if formula else None,
-        "formula_case": formula.case.value if formula else "uncovered",
-        "diam_oracle": oracle_value,
-        "bound_du": rep.du,
-        "bound_gn": rep.gobel_neutel,
-        "bound_new": rep.new_bound,
-        "bound_combined": rep.combined,
-        "agree_formula": formula.value == exact.value if formula else None,
-        "agree_oracle": oracle_value == exact.value if verify else None,
-        "witness_min": exact.witnesses[0],
-    }
+def _sweep_n(group: tuple[int, Sequence[int], bool]) -> list[dict]:
+    """The rows of one n; its chords' diameters come from one batched call."""
+    n, chords, verify = group
+    ps = [CirculantParams(n, s) for s in chords]
+    rows = []
+    for p, exact in zip(ps, diameters_exact(ps)):
+        formula = diameter_formula(p)
+        rep = bounds_report(p)
+        oracle_value = oracle_diameter(p).value if verify else None
+        rows.append(
+            {
+                "n": n,
+                "s": p.s,
+                "diam_algorithm": exact.value,
+                "diam_formula": formula.value if formula else None,
+                "formula_case": formula.case.value if formula else "uncovered",
+                "diam_oracle": oracle_value,
+                "bound_du": rep.du,
+                "bound_gn": rep.gobel_neutel,
+                "bound_new": rep.new_bound,
+                "bound_combined": rep.combined,
+                "agree_formula": formula.value == exact.value if formula else None,
+                "agree_oracle": oracle_value == exact.value if verify else None,
+                "witness_min": exact.witnesses[0],
+            }
+        )
+    return rows
 
 
 def _csv_field(value) -> str:
@@ -225,34 +240,85 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows, fmt: str, out) -> bool:
-    """Write each row as it arrives; True if any enabled cross-check failed.
+def _sweep_task(task: tuple[str, list[tuple[int, Sequence[int], bool]]]) -> tuple[str, bool]:
+    """The rows of a run of n as text, and whether a cross-check failed.
 
-    The json format writes the bytes of json.dumps(list(rows), indent=2)
-    without holding the list.
+    Module-level, so pool workers can import it.  The text is csv or
+    ndjson lines, or json array elements joined by ",\n", so the parent
+    only writes it.
+    """
+    fmt, groups = task
+    rows = [row for group in groups for row in _sweep_n(group)]
+    failed = any(row["agree_formula"] is False or row["agree_oracle"] is False for row in rows)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([_csv_field(row[c]) for c in _SWEEP_COLUMNS] for row in rows)
+        return buf.getvalue(), failed
+    if fmt == "json":
+        text = ",\n".join("  " + json.dumps(row, indent=2).replace("\n", "\n  ") for row in rows)
+        return text, failed
+    return "".join(json.dumps(row) + "\n" for row in rows), failed
+
+
+def _emit_rows(results, fmt: str, out) -> bool:
+    """Write each task's rows as they arrive; True if any cross-check failed.
+
+    The json format writes the bytes of json.dumps(all_rows, indent=2)
+    without holding the rows.
     """
     failed = False
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
+        csv.writer(out, lineterminator="\n").writerow(_SWEEP_COLUMNS)
     elif fmt == "json":
         out.write("[")
     sep = "\n"
-    for row in rows:
-        if fmt == "csv":
-            writer.writerow([_csv_field(row[c]) for c in _SWEEP_COLUMNS])
-        elif fmt == "json":
-            out.write(sep + "  " + json.dumps(row, indent=2).replace("\n", "\n  "))
+    for text, bad in results:
+        if fmt == "json":
+            out.write(sep + text)
             sep = ",\n"
-        else:  # ndjson
-            out.write(json.dumps(row) + "\n")
-        failed = failed or row["agree_formula"] is False or row["agree_oracle"] is False
+        else:
+            out.write(text)
+        failed = failed or bad
     if fmt == "json":
         out.write("]\n" if sep == "\n" else "\n]\n")
     return failed
 
 
+def _cell_count(lo: int, hi: int, fixed_s: int | None) -> int:
+    """Valid cells with n in [lo, hi], where every n >= lo >= 5 has one.
+
+    Under --s all, n has (n-3)//2 chords, and those of 5 <= n <= N add up
+    to ((N-3)//2) * ((N-2)//2).
+    """
+    if lo > hi:
+        return 0
+    if fixed_s is not None:
+        return hi - lo + 1
+    return (hi - 3) // 2 * ((hi - 2) // 2) - (lo - 4) // 2 * ((lo - 3) // 2)
+
+
+def _sweep_tasks(args, lo: int, fixed_s: int | None, task_cells: int):
+    """(format, [(n, chords, verify), ...]) tasks of about task_cells cells.
+
+    n runs from lo to --n-max; tasks are made as they are consumed, so the
+    sweep never holds the grid.
+    """
+    groups, cells = [], 0
+    for n in range(lo, args.n_max + 1):
+        chords = range(2, (n - 1) // 2 + 1) if fixed_s is None else (fixed_s,)
+        verify = args.verify_oracle and (n <= _ORACLE_N_CAP or args.force_oracle)
+        groups.append((n, chords, verify))
+        cells += len(chords)
+        if cells >= task_cells:
+            yield args.format, groups
+            groups, cells = [], 0
+    if groups:
+        yield args.format, groups
+
+
 def _cmd_sweep(args) -> int:
+    fixed_s = None
     if args.s != "all":
         try:
             fixed_s = int(args.s)
@@ -266,51 +332,46 @@ def _cmd_sweep(args) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
 
-    tasks: list[tuple[int, int, bool]] = []
-    skipped_oracle = False
-    for n in range(max(5, args.n_min), args.n_max + 1):
-        s_values = (
-            range(2, (n - 1) // 2 + 1) if args.s == "all" else [fixed_s]
-        )
-        for s in s_values:
-            if not 2 <= s <= (n - 1) // 2:
-                continue
-            verify = args.verify_oracle
-            if verify and n > _ORACLE_N_CAP:
-                if args.force_oracle:
-                    check_oracle_n(n)  # fail before any cell, not midway
-                else:
-                    verify = False
-                    skipped_oracle = True
-            tasks.append((n, s, verify))
-    if skipped_oracle:
-        print(
-            f"warning: oracle verification skipped for n > {_ORACLE_N_CAP}; "
-            "pass --force-oracle to override",
-            file=sys.stderr,
-        )
+    # every n in [lo, --n-max] has a valid cell, so the checks below need
+    # only range arithmetic, never the list of cells
+    lo = max(5, args.n_min) if fixed_s is None else max(5, args.n_min, 2 * fixed_s + 1)
+    cells = _cell_count(lo, args.n_max, fixed_s)
+    above_cap = max(lo, _ORACLE_N_CAP + 1)
+    if args.verify_oracle and above_cap <= args.n_max:
+        if args.force_oracle:
+            check_oracle_n(above_cap, args.n_max)  # fail before any cell, not midway
+        else:
+            print(
+                f"warning: oracle verification skipped for n > {_ORACLE_N_CAP}; "
+                "pass --force-oracle to override",
+                file=sys.stderr,
+            )
+    jobs = min(args.jobs, os.cpu_count() or 1, cells)
+    # serial: one n per task.  Pooled: about 1/8 of a worker's share per
+    # task, so the heaviest n do not land in one task, and at most
+    # _TASK_CELLS, so a task's rows stay small on any grid
+    task_cells = 1 if jobs <= 1 else min(max(1, cells // (jobs * 8)), _TASK_CELLS)
+    tasks = _sweep_tasks(args, lo, fixed_s, task_cells)
 
     if args.out:
         # opened before any cell is computed, so a bad path fails at once
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            return _run_sweep(tasks, args, fh)
-    return _run_sweep(tasks, args, sys.stdout)
+            return _run_sweep(tasks, jobs, args.format, fh)
+    return _run_sweep(tasks, jobs, args.format, sys.stdout)
 
 
-def _run_sweep(tasks: list[tuple[int, int, bool]], args, out) -> int:
-    """Compute every cell, streaming the rows to out in task order; exit code."""
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+def _run_sweep(tasks, jobs: int, fmt: str, out) -> int:
+    """Compute the tasks, streaming their rows to out in order; exit code."""
     if jobs > 1:
         # imported here: nothing else needs multiprocessing
         import multiprocessing
 
-        chunk = max(1, len(tasks) // (jobs * 8))
         # leaving the block terminates the workers, so a reader that closes
         # early (BrokenPipeError) does not wait for the rest of the grid
         with multiprocessing.Pool(jobs) as pool:
-            failed = _emit_rows(pool.imap(_sweep_cell, tasks, chunk), args.format, out)
+            failed = _emit_rows(pool.imap(_sweep_task, tasks), fmt, out)
     else:
-        failed = _emit_rows(map(_sweep_cell, tasks), args.format, out)
+        failed = _emit_rows(map(_sweep_task, tasks), fmt, out)
     return 2 if failed else 0
 
 

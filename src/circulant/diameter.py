@@ -3,20 +3,23 @@
 By vertex-transitivity the diameter equals the eccentricity of vertex 0,
 and the ring symmetry d(i) = d(n - i) confines the search to
 i in [2, floor(n/2)] (i = 0 and i = 1 never attain the maximum of a graph
-that is not complete).  The scan runs the lattice kernel distance_range,
-which costs the same per vertex for every chord, over independent index
-blocks, so memory stays flat for large n.  It reads the kernel's arrays
-through their own methods, so numpy loads with the first distance_range
-call, not with this module.
+that is not complete).  The scan runs the lattice kernel of distance.py,
+which costs the same per vertex for every chord, over independent blocks,
+so memory stays flat for large n.  diameter_exact scans one chord through
+distance_range; diameters_exact scans every chord of one n together, as
+(chord x vertex) blocks, which spares the per-call numpy cost that
+dominates small graphs.  Both read the kernel's arrays through their own
+methods, so numpy loads with the first kernel call, not with this module.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .distance import distance_range
+from .distance import _lattice_block, _reduced_basis, distance_range
 from .params import CirculantParams
 
-# vertices per distance_range call; bounds peak memory, not results
+# (chord, vertex) pairs per kernel block; bounds peak memory, not results
 _CHUNK = 1 << 20
 
 
@@ -34,25 +37,59 @@ class DiameterResult:
     method: str
 
 
-def diameter_exact(p: CirculantParams) -> DiameterResult:
-    """max d(i) over i in [2, floor(n/2)] with every attaining i.
+def _scan(half: int, chords: int, block_of) -> list[DiameterResult]:
+    """Max-combine the kernel's blocks of [2, half] for chords chords.
 
-    Blocks of the index range are evaluated independently and max-combined,
-    so the result is identical for any block size or evaluation order.
+    block_of(first, last, lo, hi) returns d(0, i) for i in [lo, hi] on
+    chords [first, last) as a (chords x vertices) array.  Blocks hold at
+    most _CHUNK (chord, vertex) pairs, whole chord groups while a row fits
+    and vertex ranges of one chord after that, and are evaluated
+    independently, so the result is identical for any block size or order.
     """
-    value = -1
-    witnesses: list[int] = []
-    for start in range(2, p.half + 1, _CHUNK):
-        stop = min(p.half, start + _CHUNK - 1)
-        block = distance_range(p, start, stop)
-        block_max = int(block.max())
-        if block_max < value:
-            continue
-        if block_max > value:
-            value = block_max
-            witnesses.clear()
-        witnesses.extend(((block == block_max).nonzero()[0] + start).tolist())
-    return DiameterResult(value=value, witnesses=tuple(witnesses), method="algorithm")
+    group = max(1, _CHUNK // (half - 1))
+    width = min(half - 1, _CHUNK // group)
+    values, witnesses = [-1] * chords, [[] for _ in range(chords)]
+    for first in range(0, chords, group):
+        last = min(chords, first + group)
+        for lo in range(2, half + 1, width):
+            hi = min(half, lo + width - 1)
+            block = block_of(first, last, lo, hi)
+            maxima = block.max(axis=1, keepdims=True)
+            best = maxima[:, 0].tolist()
+            for k, value in enumerate(best, first):
+                if value > values[k]:
+                    values[k] = value
+                    witnesses[k].clear()
+            # flat indices: a 2-D nonzero costs about ten times as much
+            for at in (block == maxima).ravel().nonzero()[0].tolist():
+                k, i = divmod(at, hi - lo + 1)
+                if best[k] == values[first + k]:
+                    witnesses[first + k].append(lo + i)
+    return [DiameterResult(v, tuple(w), "algorithm") for v, w in zip(values, witnesses)]
+
+
+def diameter_exact(p: CirculantParams) -> DiameterResult:
+    """max d(i) over i in [2, floor(n/2)] with every attaining i."""
+    return _scan(p.half, 1, lambda first, last, lo, hi: distance_range(p, lo, hi)[None])[0]
+
+
+def diameters_exact(ps: Sequence[CirculantParams]) -> list[DiameterResult]:
+    """diameter_exact of every graph of ps, which must share one n.
+
+    Each block covers many chords at once, which spares the per-call numpy
+    cost that dominates small graphs; the results equal diameter_exact's.
+    """
+    if len({p.n for p in ps}) > 1:
+        raise ValueError("diameters_exact needs graphs that share one n")
+    if not ps:
+        return []
+    n = ps[0].n
+    bases = [_reduced_basis(n, p.s) for p in ps]
+    return _scan(
+        ps[0].half,
+        len(ps),
+        lambda first, last, lo, hi: _lattice_block(n, bases[first:last], lo, hi),
+    )
 
 
 def eccentricity_profile(p: CirculantParams) -> list[tuple[int, int]]:

@@ -6,16 +6,19 @@ canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
 reports the minimizing class and a realized path; it uses Python integers,
 so it has no range limit.  It reads the family table paths.FAMILY_RULES,
 the one canonical_classes reads, and does no family arithmetic itself.  The
-bulk route, distance_range, treats the minimum as an L1 closest-vector
-problem in a 2-D lattice: a Gauss-reduced basis leaves 4 candidate points
-per vertex for every chord, evaluated with int64 numpy.  The tests hold the
-bulk route to the scan and to BFS.
+bulk route, the lattice kernel _lattice_block, treats the minimum as an L1
+closest-vector problem in a 2-D lattice: a Gauss-reduced basis leaves 4
+candidate points per vertex for every chord, evaluated with int64 numpy on
+a (chord x vertex) block of one n.  distance_range is its one-chord case;
+diameter.diameters_exact runs it on every chord of an n at once.  The
+tests hold the bulk route to the scan and to BFS.
 
-numpy is imported by the first distance_range call, not with this module,
-so a process that only asks scalar queries never loads it.
+numpy is imported by the first kernel call, not with this module, so a
+process that only asks scalar queries never loads it.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,9 +36,10 @@ from .paths import (
 if TYPE_CHECKING:
     import numpy as np
 
-# vertices per numpy pass of the lattice kernel: keeps its arrays in cache
+# (chord, vertex) pairs per numpy pass of the lattice kernel: keeps its
+# arrays in cache
 _CHUNK = 1 << 13
-# largest n whose kernel intermediates fit in int64 (see distance_range)
+# largest n whose kernel intermediates fit in int64 (see _lattice_block)
 _MAX_N = 1 << 40
 
 
@@ -106,8 +110,13 @@ def _reduced_basis(n: int, s: int) -> tuple[int, int, int, int]:
     return ux, uy, wx, wy
 
 
-def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
-    """d(0, i) for every i in [lo, hi] as an int64 array.
+def _lattice_block(
+    n: int, bases: Sequence[tuple[int, int, int, int]], lo: int, hi: int
+) -> np.ndarray:
+    """d(0, i) on each chord of one n, for every i in [lo, hi].
+
+    bases[k] is chord k's reduced basis from _reduced_basis; the result is
+    a (len(bases) x (hi - lo + 1)) int64 array with row k for chord k.
 
     d(0, i) is the least |x| + |y| over x + s*y = i (mod n): the L1
     distance from P = (i, 0) to the lattice L = {x + s*y = 0 (mod n)}, whose
@@ -131,60 +140,84 @@ def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     - Every other row has offset at least e + 1, so all its points have
       |x|_1 >= e*g + g, more than the bound above.
 
-    Each chunk of _CHUNK vertices evaluates the 2 rows x 2 candidates with
-    int64 numpy.  Intermediates stay below 12*n except i*uy, which stays
-    below 1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n
-    raises OutOfRangeError (distance_from_zero has no such limit).
+    Each pass evaluates the 2 rows x 2 candidates of at most _CHUNK
+    (chord, vertex) pairs with int64 numpy, with the pass's chords as a
+    column.  Intermediates stay below 12*n except i*uy, which stays below
+    1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n raises
+    OutOfRangeError (distance_from_zero has no such limit).
     """
-    if lo < 0 or hi >= p.n or lo > hi:
-        raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
-    if p.n > _MAX_N:
+    if n > _MAX_N:
         raise OutOfRangeError(
-            f"n={p.n} exceeds 2**40, the int64 limit of distance_range; "
+            f"n={n} exceeds 2**40, the int64 limit of distance_range; "
             "use distance_from_zero"
         )
     import numpy as np
 
-    n = p.n
-    ux, uy, wx, wy = _reduced_basis(n, p.s)
-    if abs(ux) >= abs(uy):
-        uh, ul, wh, wl, on_h = ux, uy, wx, wy, True
-    else:
-        uh, ul, wh, wl, on_h = uy, ux, wy, wx, False
-    m = hi - lo + 1
-    out = np.empty(m, dtype=np.int64)
-    size = min(m, _CHUNK)
-    rows = np.arange(2, dtype=np.int64)[:, None]
-    xh = np.empty((2, size), dtype=np.int64)
-    xl = np.empty((2, size), dtype=np.int64)
-    a = np.empty((2, size), dtype=np.int64)
-    r = np.empty((2, size), dtype=np.int64)
-    for start in range(lo, hi + 1, _CHUNK):
-        c = min(_CHUNK, hi + 1 - start)
-        xh_, xl_, a_, r_ = xh[:, :c], xl[:, :c], a[:, :c], r[:, :c]
-        i = np.arange(start, start + c, dtype=np.int64)
-        # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
-        b = i * -uy
-        b //= n
-        np.add(b, rows, out=r_)
-        # X = (i, 0) - B*w in the heavy/light coordinates of u
-        np.multiply(r_, -wh, out=xh_)
-        np.multiply(r_, -wl, out=xl_)
-        if on_h:
-            xh_ += i
-        else:
-            xl_ += i
-        # A = floor(xh/uh) leaves heavy residual r, light residual xl - A*ul
-        np.divmod(xh_, uh, out=(a_, r_))
-        a_ *= ul
-        np.subtract(xl_, a_, out=a_)
-        np.abs(a_, out=xh_)
-        xh_ += r_
-        # A + 1 leaves heavy residual uh - r, light residual shifted by ul
-        a_ -= ul
-        np.abs(a_, out=a_)
-        a_ -= r_
-        a_ += uh
-        np.minimum(xh_, a_, out=xh_)
-        np.minimum(xh_[0], xh_[1], out=out[start - lo : start - lo + c])
+    # per chord: -uy, then uh, ul, -wh, -wl in the heavy/light coordinates
+    # of u.  Chords whose u is heavy in x come first, and no pass mixes the
+    # two kinds, so a pass adds i to one coordinate of all its rows
+    order = sorted(range(len(bases)), key=lambda k: abs(bases[k][0]) < abs(bases[k][1]))
+    heavy_x = sum(abs(ux) >= abs(uy) for ux, uy, _, _ in bases)
+    table = []
+    for k in order:
+        ux, uy, wx, wy = bases[k]
+        table.append((-uy, ux, uy, -wx, -wy) if abs(ux) >= abs(uy) else (-uy, uy, ux, -wy, -wx))
+    chords, m = len(bases), hi - lo + 1
+    out = np.empty((chords, m), dtype=np.int64)
+    group = max(1, min(chords, _CHUNK // m))
+    width = min(m, _CHUNK // group)
+    rows = np.arange(2, dtype=np.int64)[:, None, None]
+    xh_buf, xl_buf, a_buf, r_buf = (np.empty((2, group, width), dtype=np.int64) for _ in range(4))
+    for on_h, kind_start, kind_stop in ((True, 0, heavy_x), (False, heavy_x, chords)):
+        for first in range(kind_start, kind_stop, group):
+            g = min(group, kind_stop - first)
+            if g == 1:  # plain ints keep numpy on its fast scalar path
+                neg_uy, uh, ul, neg_wh, neg_wl = table[first]
+            else:
+                cols = np.array(table[first : first + g], dtype=np.int64)
+                neg_uy, uh, ul, neg_wh, neg_wl = cols.T[:, :, None]
+            for start in range(lo, hi + 1, width):
+                c = min(width, hi + 1 - start)
+                xh, xl = xh_buf[:, :g, :c], xl_buf[:, :g, :c]
+                a, r = a_buf[:, :g, :c], r_buf[:, :g, :c]
+                i = np.arange(start, start + c, dtype=np.int64)
+                # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
+                b = i * neg_uy
+                b //= n
+                np.add(b, rows, out=r)
+                # X = (i, 0) - B*w in the heavy/light coordinates of u
+                np.multiply(r, neg_wh, out=xh)
+                np.multiply(r, neg_wl, out=xl)
+                if on_h:
+                    xh += i
+                else:
+                    xl += i
+                # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
+                np.divmod(xh, uh, out=(a, r))
+                a *= ul
+                np.subtract(xl, a, out=a)
+                np.abs(a, out=xh)
+                xh += r
+                # A + 1 leaves heavy residual uh - r, light shifted by ul
+                a -= ul
+                np.abs(a, out=a)
+                a -= r
+                a += uh
+                np.minimum(xh, a, out=xh)
+                col = start - lo
+                np.minimum(xh[0], xh[1], out=out[first : first + g, col : col + c])
+    if 0 < heavy_x < chords:  # back to the callers' chord order
+        out[order] = out.copy()
     return out
+
+
+def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
+    """d(0, i) for every i in [lo, hi] as an int64 array.
+
+    The one-chord case of the lattice kernel _lattice_block, which proves
+    the 2 rows x 2 candidates it evaluates per vertex.  Accepts n <= 2**40
+    and raises OutOfRangeError above (distance_from_zero has no such limit).
+    """
+    if lo < 0 or hi >= p.n or lo > hi:
+        raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
+    return _lattice_block(p.n, [_reduced_basis(p.n, p.s)], lo, hi)[0]

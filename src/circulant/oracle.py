@@ -54,10 +54,14 @@ def build_adjacency(p: CirculantParams) -> ExplicitGraph:
     return ExplicitGraph(n=p.n, offsets=(1, p.s, p.n - p.s, p.n - 1))
 
 
-def check_oracle_n(n: int) -> None:
-    """Raise OutOfRangeError if n is above the oracle's limit, 2**24."""
-    if n > _MAX_N:
-        raise OutOfRangeError(f"n={n} exceeds 2**24, the BFS oracle's memory limit")
+def check_oracle_n(n: int, last: int | None = None) -> None:
+    """Raise OutOfRangeError if n, or any n up to last, is above 2**24.
+
+    2**24 is the oracle's limit; the message names the first n above it.
+    """
+    first = max(n, _MAX_N + 1)
+    if first <= (n if last is None else last):
+        raise OutOfRangeError(f"n={first} exceeds 2**24, the BFS oracle's memory limit")
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> list[int]:

@@ -12,11 +12,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from circulant import cli
+import circulant.diameter as diameter_mod
+from circulant import CirculantParams, cli, diameter_exact
 from circulant.formulas import FormulaCase, FormulaResult
 
 
@@ -405,50 +407,69 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
     assert workers == [4, 2]
 
 
-_SWEEP_CELL = cli._sweep_cell
+_SWEEP_TASK = cli._sweep_task
 
 
-def _logged_sweep_cell(task):
-    """cli._sweep_cell that also appends one byte per cell to a log file.
+def _logged_sweep_task(task):
+    """cli._sweep_task that also appends one byte per cell to a log file.
 
     Module-level, so pool workers can unpickle it; they inherit the log path
     through the environment.  The sleep makes the 400 cells take long next
     to the pool's own start and stop.
     """
+    cells = sum(len(chords) for _, chords, _ in task[1])
     with open(os.environ["CIRC_TEST_CELL_LOG"], "a", encoding="utf-8") as fh:
-        fh.write(".")
-    time.sleep(0.005)
-    return _SWEEP_CELL(task)
+        fh.write("." * cells)
+    time.sleep(0.005 * cells)
+    return _SWEEP_TASK(task)
+
+
+class ClosedAfterFirstRows:
+    """An output whose reader goes away after the header and one write of rows."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise BrokenPipeError
+        return len(text)
 
 
 def test_sweep_pool_stops_when_the_reader_closes_early(monkeypatch, tmp_path):
-    class ClosedAfterFirstRow:
-        writes = 0
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes > 2:  # the csv header, then one row
-                raise BrokenPipeError
-            return len(text)
-
     log = tmp_path / "cells.log"
     log.write_text("")
     monkeypatch.setenv("CIRC_TEST_CELL_LOG", str(log))
-    monkeypatch.setattr(cli, "_sweep_cell", _logged_sweep_cell)
+    monkeypatch.setattr(cli, "_sweep_task", _logged_sweep_task)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    tasks = [(n, s, False) for n in range(5, 70) for s in range(2, (n - 1) // 2 + 1)][:400]
-    assert len(tasks) == 400
-    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "5", "--jobs", "2"])
+    monkeypatch.setattr(sys, "stdout", ClosedAfterFirstRows())
+    # n in [5, 43] has 400 cells
+    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "43", "--jobs", "2"])
     with pytest.raises(BrokenPipeError):
-        cli._run_sweep(tasks, args, ClosedAfterFirstRow())
-    assert len(log.read_text()) < len(tasks) // 2
+        cli._cmd_sweep(args)
+    assert 0 < len(log.read_text()) < 400 // 2
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
+    # 2.25 million cells; the sweep must not hold them before the first row
+    diameter_exact(CirculantParams(13, 5))  # numpy loads outside the trace
+    monkeypatch.setattr(sys, "stdout", ClosedAfterFirstRows())
+    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "3000", "--jobs", "1"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BrokenPipeError):
+            cli._cmd_sweep(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_path):
-    def no_cells(task):
-        raise AssertionError(f"cell {task} computed before --out was opened")
+    def no_cells(group):
+        raise AssertionError(f"cells {group} computed before --out was opened")
 
-    monkeypatch.setattr(cli, "_sweep_cell", no_cells)
+    monkeypatch.setattr(cli, "_sweep_n", no_cells)
     target = tmp_path / "missing" / "rows.csv"
     code, out, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "8", "--out", str(target)])
     assert code == 1
@@ -457,10 +478,10 @@ def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_p
 
 
 def test_sweep_forced_oracle_above_its_limit_exits_1_before_any_cell(capsys, monkeypatch):
-    def no_cells(task):
-        raise AssertionError(f"cell {task} computed before the oracle limit was checked")
+    def no_cells(group):
+        raise AssertionError(f"cells {group} computed before the oracle limit was checked")
 
-    monkeypatch.setattr(cli, "_sweep_cell", no_cells)
+    monkeypatch.setattr(cli, "_sweep_n", no_cells)
     argv = [
         "sweep", "--n-min", "16777214", "--n-max", "16777217", "--s", "3",
         "--verify-oracle", "--force-oracle",
@@ -491,6 +512,36 @@ def test_streamed_sweep_is_identical_across_jobs(capsys, tmp_path, fmt):
         assert text == json.dumps(rows, indent=2) + "\n"
     else:
         assert text == "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ndjson"])
+@pytest.mark.parametrize("case", ["fixed-s", "all-small-blocks"])
+def test_sweep_bytes_are_identical_across_jobs(capsys, monkeypatch, tmp_path, fmt, case):
+    args = ["sweep", "--n-min", "5", "--n-max", "60", "--format", fmt]
+    if case == "fixed-s":
+        args += ["--s", "5"]  # 50 cells: pool tasks of 3 leave a short last one
+    reference = tmp_path / "reference"
+    assert cli.main([*args, "--out", str(reference)]) == 0
+    if case == "all-small-blocks":
+        # chord groups split and single chords run in vertex blocks; pool
+        # workers are forked after the patch, so they see it too
+        monkeypatch.setattr(diameter_mod, "_CHUNK", 7)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main([*args, "--jobs", jobs, "--out", str(out)]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+    capsys.readouterr()
+
+
+def test_sweep_tasks_cover_every_cell_once():
+    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "40"])
+    for fixed_s, lo in [(None, 5), (7, 15)]:
+        for task_cells in (1, 5, 7, 1000):
+            tasks = list(cli._sweep_tasks(args, lo, fixed_s, task_cells))
+            assert [n for _, groups in tasks for n, _, _ in groups] == list(range(lo, 41))
+            cells = [sum(len(chords) for _, chords, _ in groups) for _, groups in tasks]
+            assert sum(cells) == cli._cell_count(lo, 40, fixed_s)
+            assert all(count >= task_cells for count in cells[:-1])
 
 
 def test_streamed_json_of_empty_sweep_is_empty_array(capsys):

@@ -1,4 +1,9 @@
 """Exact diameter scan and eccentricity profile."""
+import importlib
+
+import pytest
+
+import circulant.diameter as diameter_mod
 from circulant import (
     CirculantParams,
     diameter_exact,
@@ -6,6 +11,10 @@ from circulant import (
     eccentricity_profile,
     oracle_diameter,
 )
+from circulant.diameter import diameters_exact
+
+# circulant/__init__ rebinds the attribute circulant.distance to a function
+distance_mod = importlib.import_module("circulant.distance")
 
 
 def test_figure_graph():
@@ -79,10 +88,34 @@ def test_complete_graph_diameter_one():
 
 def test_block_combination_is_seamless(monkeypatch):
     # force tiny scan blocks; the result must not depend on block size
-    import circulant.diameter as diameter_mod
-
     p = CirculantParams(97, 13)
     want = diameter_exact(p)
     monkeypatch.setattr(diameter_mod, "_CHUNK", 5)
     got = diameter_exact(p)
     assert (got.value, got.witnesses) == (want.value, want.witnesses)
+
+
+def test_one_chord_group_equals_diameter_exact():
+    for n, s in [(5, 2), (10, 4), (97, 13), (150, 61), (100_003, 317), (100_000, 49_999)]:
+        p = CirculantParams(n, s)
+        assert diameters_exact([p]) == [diameter_exact(p)]
+
+
+@pytest.mark.parametrize("block", [1, 5, 47, 200, 1 << 20])
+@pytest.mark.parametrize("kernel_pass", [3, 100, 1 << 13])
+def test_batched_blocks_are_seamless(monkeypatch, block, kernel_pass):
+    # small caps split the chord group (block 200 holds 4 chords of 47
+    # vertices) or run single chords in vertex blocks (block < 47), and the
+    # kernel's own passes likewise; every result must equal diameter_exact
+    ps = [CirculantParams(97, s) for s in range(2, 49)]
+    want = [diameter_exact(p) for p in ps]
+    monkeypatch.setattr(diameter_mod, "_CHUNK", block)
+    monkeypatch.setattr(distance_mod, "_CHUNK", kernel_pass)
+    assert diameters_exact(ps) == want
+    assert diameters_exact(ps[::-1]) == want[::-1]
+
+
+def test_batched_entry_takes_one_n():
+    assert diameters_exact([]) == []
+    with pytest.raises(ValueError):
+        diameters_exact([CirculantParams(10, 3), CirculantParams(11, 3)])
