@@ -4,12 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 verification mismatch in a sweep.
 Sweep output is deterministic (n ascending, s ascending) regardless of
 --jobs, so golden files and diffs stay stable.
 
-A sweep works per n: each n's chords get their diameters from one batched
-kernel call (diameters_exact), and the worker that computed them also
-formats the rows, so the parent only writes text.  Tasks of whole n are
-made as they are consumed, and the cell count, the oracle warning and the
-oracle's limit come from range arithmetic, so memory does not grow with
-the grid.
+A sweep's unit of work is one n: its chords get their diameters from one
+batched kernel call (diameters_exact), and the process that computed them
+also formats the rows, so the parent only writes text.  The tasks are made
+as they are consumed and reach pool workers in chunks of several n; the
+--jobs clamp, the oracle warning and the oracle's limit come from range
+arithmetic, so memory does not grow with the grid.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 from .bounds import bounds_report
 from .diameter import diameter_exact, diameters_exact
@@ -36,7 +37,7 @@ from .paths import render_path
 
 # verify-oracle cutoff: BFS is O(n) per cell but grids are O(n^2) cells
 _ORACLE_N_CAP = 2000
-# most cells in one pool task, so that the rows a worker holds stay few
+# most cells in one pool chunk, so that the rows a worker holds stay few
 _TASK_CELLS = 1024
 
 _SWEEP_COLUMNS = [
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.environ.get("CIRC_JOBS", "1"),
-        help="worker processes, at most the CPU and cell counts "
+        help="worker processes, at most the CPU count and the number of n "
         "(default $CIRC_JOBS or 1)",
     )
     w.set_defaults(func=_cmd_sweep)
@@ -203,9 +204,15 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _sweep_n(group: tuple[int, Sequence[int], bool]) -> list[dict]:
-    """The rows of one n; its chords' diameters come from one batched call."""
-    n, chords, verify = group
+def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
+    """The rows of one n as text, and whether a cross-check failed.
+
+    Module-level, so pool workers can import it.  The chords' diameters come
+    from one batched call, diameters_exact.  The text is csv or ndjson
+    lines, or json array elements joined by ",\n", so the parent only
+    writes it.
+    """
+    fmt, n, chords, verify = task
     ps = [CirculantParams(n, s) for s in chords]
     rows = []
     for p, exact in zip(ps, diameters_exact(ps)):
@@ -229,31 +236,15 @@ def _sweep_n(group: tuple[int, Sequence[int], bool]) -> list[dict]:
                 "witness_min": exact.witnesses[0],
             }
         )
-    return rows
-
-
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _sweep_task(task: tuple[str, list[tuple[int, Sequence[int], bool]]]) -> tuple[str, bool]:
-    """The rows of a run of n as text, and whether a cross-check failed.
-
-    Module-level, so pool workers can import it.  The text is csv or
-    ndjson lines, or json array elements joined by ",\n", so the parent
-    only writes it.
-    """
-    fmt, groups = task
-    rows = [row for group in groups for row in _sweep_n(group)]
     failed = any(row["agree_formula"] is False or row["agree_oracle"] is False for row in rows)
     if fmt == "csv":
+        # csv writes None as an empty field; only the agree_* bools need words
+        word = {True: "true", False: "false", None: None}
+        for row in rows:
+            row["agree_formula"] = word[row["agree_formula"]]
+            row["agree_oracle"] = word[row["agree_oracle"]]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows([_csv_field(row[c]) for c in _SWEEP_COLUMNS] for row in rows)
+        csv.writer(buf, lineterminator="\n").writerows(row.values() for row in rows)
         return buf.getvalue(), failed
     if fmt == "json":
         text = ",\n".join("  " + json.dumps(row, indent=2).replace("\n", "\n  ") for row in rows)
@@ -285,38 +276,6 @@ def _emit_rows(results, fmt: str, out) -> bool:
     return failed
 
 
-def _cell_count(lo: int, hi: int, fixed_s: int | None) -> int:
-    """Valid cells with n in [lo, hi], where every n >= lo >= 5 has one.
-
-    Under --s all, n has (n-3)//2 chords, and those of 5 <= n <= N add up
-    to ((N-3)//2) * ((N-2)//2).
-    """
-    if lo > hi:
-        return 0
-    if fixed_s is not None:
-        return hi - lo + 1
-    return (hi - 3) // 2 * ((hi - 2) // 2) - (lo - 4) // 2 * ((lo - 3) // 2)
-
-
-def _sweep_tasks(args, lo: int, fixed_s: int | None, task_cells: int):
-    """(format, [(n, chords, verify), ...]) tasks of about task_cells cells.
-
-    n runs from lo to --n-max; tasks are made as they are consumed, so the
-    sweep never holds the grid.
-    """
-    groups, cells = [], 0
-    for n in range(lo, args.n_max + 1):
-        chords = range(2, (n - 1) // 2 + 1) if fixed_s is None else (fixed_s,)
-        verify = args.verify_oracle and (n <= _ORACLE_N_CAP or args.force_oracle)
-        groups.append((n, chords, verify))
-        cells += len(chords)
-        if cells >= task_cells:
-            yield args.format, groups
-            groups, cells = [], 0
-    if groups:
-        yield args.format, groups
-
-
 def _cmd_sweep(args) -> int:
     fixed_s = None
     if args.s != "all":
@@ -335,7 +294,7 @@ def _cmd_sweep(args) -> int:
     # every n in [lo, --n-max] has a valid cell, so the checks below need
     # only range arithmetic, never the list of cells
     lo = max(5, args.n_min) if fixed_s is None else max(5, args.n_min, 2 * fixed_s + 1)
-    cells = _cell_count(lo, args.n_max, fixed_s)
+    ns = range(lo, args.n_max + 1)
     above_cap = max(lo, _ORACLE_N_CAP + 1)
     if args.verify_oracle and above_cap <= args.n_max:
         if args.force_oracle:
@@ -346,32 +305,34 @@ def _cmd_sweep(args) -> int:
                 "pass --force-oracle to override",
                 file=sys.stderr,
             )
-    jobs = min(args.jobs, os.cpu_count() or 1, cells)
-    # serial: one n per task.  Pooled: about 1/8 of a worker's share per
-    # task, so the heaviest n do not land in one task, and at most
-    # _TASK_CELLS, so a task's rows stay small on any grid
-    task_cells = 1 if jobs <= 1 else min(max(1, cells // (jobs * 8)), _TASK_CELLS)
-    tasks = _sweep_tasks(args, lo, fixed_s, task_cells)
 
-    if args.out:
-        # opened before any cell is computed, so a bad path fails at once
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            return _run_sweep(tasks, jobs, args.format, fh)
-    return _run_sweep(tasks, jobs, args.format, sys.stdout)
+    def task(n: int) -> tuple[str, int, Sequence[int], bool]:
+        chords = range(2, (n - 1) // 2 + 1) if fixed_s is None else (fixed_s,)
+        verify = args.verify_oracle and (n <= _ORACLE_N_CAP or args.force_oracle)
+        return args.format, n, chords, verify
 
+    # one task per n, made as it is consumed, so the sweep never holds the grid
+    tasks = map(task, ns)
+    jobs = min(args.jobs, os.cpu_count() or 1, len(ns))
+    # --out is opened before any cell is computed, so a bad path fails at once
+    with (
+        open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    ) as out:
+        if jobs <= 1:
+            failed = _emit_rows(map(_sweep_task, tasks), args.format, out)
+        else:
+            # imported here: nothing else needs multiprocessing
+            import multiprocessing
 
-def _run_sweep(tasks, jobs: int, fmt: str, out) -> int:
-    """Compute the tasks, streaming their rows to out in order; exit code."""
-    if jobs > 1:
-        # imported here: nothing else needs multiprocessing
-        import multiprocessing
-
-        # leaving the block terminates the workers, so a reader that closes
-        # early (BrokenPipeError) does not wait for the rest of the grid
-        with multiprocessing.Pool(jobs) as pool:
-            failed = _emit_rows(pool.imap(_sweep_task, tasks), fmt, out)
-    else:
-        failed = _emit_rows(map(_sweep_task, tasks), fmt, out)
+            # chunks of about 1/8 of a worker's share of n, so the heaviest n
+            # do not land in one chunk, and of at most _TASK_CELLS cells, so
+            # the rows a worker holds stay few.  Leaving the block terminates
+            # the workers, so a reader that closes early (BrokenPipeError)
+            # does not wait for the rest of the grid
+            widest = len(task(ns[-1])[2])
+            chunk = max(1, min(len(ns) // (8 * jobs), _TASK_CELLS // widest))
+            with multiprocessing.Pool(jobs) as pool:
+                failed = _emit_rows(pool.imap(_sweep_task, tasks, chunk), args.format, out)
     return 2 if failed else 0
 
 

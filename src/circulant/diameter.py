@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .distance import _lattice_block, _reduced_basis, distance_range
+from .distance import _lattice_block, distance_range
 from .params import CirculantParams
 
 # (chord, vertex) pairs per kernel block; bounds peak memory, not results
@@ -83,12 +83,11 @@ def diameters_exact(ps: Sequence[CirculantParams]) -> list[DiameterResult]:
         raise ValueError("diameters_exact needs graphs that share one n")
     if not ps:
         return []
-    n = ps[0].n
-    bases = [_reduced_basis(n, p.s) for p in ps]
+    n, chords = ps[0].n, [p.s for p in ps]
     return _scan(
         ps[0].half,
         len(ps),
-        lambda first, last, lo, hi: _lattice_block(n, bases[first:last], lo, hi),
+        lambda first, last, lo, hi: _lattice_block(n, chords[first:last], lo, hi),
     )
 
 

@@ -110,13 +110,11 @@ def _reduced_basis(n: int, s: int) -> tuple[int, int, int, int]:
     return ux, uy, wx, wy
 
 
-def _lattice_block(
-    n: int, bases: Sequence[tuple[int, int, int, int]], lo: int, hi: int
-) -> np.ndarray:
+def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """d(0, i) on each chord of one n, for every i in [lo, hi].
 
-    bases[k] is chord k's reduced basis from _reduced_basis; the result is
-    a (len(bases) x (hi - lo + 1)) int64 array with row k for chord k.
+    The result is a (len(chords) x (hi - lo + 1)) int64 array with row k
+    for chords[k]; each chord's basis is reduced once per call.
 
     d(0, i) is the least |x| + |y| over x + s*y = i (mod n): the L1
     distance from P = (i, 0) to the lattice L = {x + s*y = 0 (mod n)}, whose
@@ -153,6 +151,7 @@ def _lattice_block(
         )
     import numpy as np
 
+    bases = [_reduced_basis(n, s) for s in chords]
     # per chord: -uy, then uh, ul, -wh, -wl in the heavy/light coordinates
     # of u.  Chords whose u is heavy in x come first, and no pass mixes the
     # two kinds, so a pass adds i to one coordinate of all its rows
@@ -162,13 +161,13 @@ def _lattice_block(
     for k in order:
         ux, uy, wx, wy = bases[k]
         table.append((-uy, ux, uy, -wx, -wy) if abs(ux) >= abs(uy) else (-uy, uy, ux, -wy, -wx))
-    chords, m = len(bases), hi - lo + 1
-    out = np.empty((chords, m), dtype=np.int64)
-    group = max(1, min(chords, _CHUNK // m))
+    count, m = len(chords), hi - lo + 1
+    out = np.empty((count, m), dtype=np.int64)
+    group = max(1, min(count, _CHUNK // m))
     width = min(m, _CHUNK // group)
     rows = np.arange(2, dtype=np.int64)[:, None, None]
     xh_buf, xl_buf, a_buf, r_buf = (np.empty((2, group, width), dtype=np.int64) for _ in range(4))
-    for on_h, kind_start, kind_stop in ((True, 0, heavy_x), (False, heavy_x, chords)):
+    for on_h, kind_start, kind_stop in ((True, 0, heavy_x), (False, heavy_x, count)):
         for first in range(kind_start, kind_stop, group):
             g = min(group, kind_stop - first)
             if g == 1:  # plain ints keep numpy on its fast scalar path
@@ -206,7 +205,7 @@ def _lattice_block(
                 np.minimum(xh, a, out=xh)
                 col = start - lo
                 np.minimum(xh[0], xh[1], out=out[first : first + g, col : col + c])
-    if 0 < heavy_x < chords:  # back to the callers' chord order
+    if 0 < heavy_x < count:  # back to the callers' chord order
         out[order] = out.copy()
     return out
 
@@ -220,4 +219,4 @@ def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     """
     if lo < 0 or hi >= p.n or lo > hi:
         raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
-    return _lattice_block(p.n, [_reduced_basis(p.n, p.s)], lo, hi)[0]
+    return _lattice_block(p.n, [p.s], lo, hi)[0]

@@ -383,11 +383,13 @@ def test_jobs_default_comes_from_environment(monkeypatch):
 
 
 def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
-    workers = []
+    pools = []
 
-    class SerialPool:
+    class NoCellPool:
+        """Records its workers and chunk size, and computes no cell."""
+
         def __init__(self, processes):
-            workers.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -396,28 +398,46 @@ def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
             return False
 
         def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+            pools.append((self.processes, chunksize))
+            return iter(())
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", NoCellPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # n in [9, 10] has 6 cells, n = 7 has 2, n = 5 has 1 (no pool at all)
-    for n_min, n_max in [("9", "10"), ("7", "7"), ("5", "5")]:
-        argv = ["sweep", "--n-min", n_min, "--n-max", n_max, "--jobs", "64", "--out", os.devnull]
-        assert cli.main(argv) == 0
-    assert workers == [4, 2]
+
+    def sweep(n_min, n_max, *extra):
+        argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max), "--jobs", "64"]
+        assert cli.main([*argv, *extra, "--out", os.devnull]) == 0
+
+    # workers: one task per n, so 12 n get 4, 2 n get 2, and one n no pool
+    for n_min, n_max in [(9, 20), (9, 10), (7, 7)]:
+        sweep(n_min, n_max)
+    assert [workers for workers, _ in pools] == [4, 2]
+    # chunks: 1/8 of a worker's share of the 990 n, one chord each
+    pools.clear()
+    sweep(11, 1000, "--s", "5")
+    assert pools == [(4, 990 // 32)]
+    # at most _TASK_CELLS cells where that binds (n = 400 has 198 chords),
+    # and still one n where a single n has more (n = 2100 has 1048)
+    pools.clear()
+    sweep(5, 400)
+    [(_, chunk)] = pools
+    assert 1 <= chunk < 396 // 32 and chunk * 198 <= cli._TASK_CELLS
+    pools.clear()
+    sweep(2000, 2100)
+    assert pools == [(4, 1)]
 
 
 _SWEEP_TASK = cli._sweep_task
 
 
 def _logged_sweep_task(task):
-    """cli._sweep_task that also appends one byte per cell to a log file.
+    """cli._sweep_task that also appends one byte per cell of its n to a log file.
 
     Module-level, so pool workers can unpickle it; they inherit the log path
     through the environment.  The sleep makes the 400 cells take long next
     to the pool's own start and stop.
     """
-    cells = sum(len(chords) for _, chords, _ in task[1])
+    cells = len(task[2])
     with open(os.environ["CIRC_TEST_CELL_LOG"], "a", encoding="utf-8") as fh:
         fh.write("." * cells)
     time.sleep(0.005 * cells)
@@ -466,10 +486,10 @@ def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
 
 
 def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_path):
-    def no_cells(group):
-        raise AssertionError(f"cells {group} computed before --out was opened")
+    def no_cells(task):
+        raise AssertionError(f"cells {task} computed before --out was opened")
 
-    monkeypatch.setattr(cli, "_sweep_n", no_cells)
+    monkeypatch.setattr(cli, "_sweep_task", no_cells)
     target = tmp_path / "missing" / "rows.csv"
     code, out, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "8", "--out", str(target)])
     assert code == 1
@@ -478,10 +498,10 @@ def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_p
 
 
 def test_sweep_forced_oracle_above_its_limit_exits_1_before_any_cell(capsys, monkeypatch):
-    def no_cells(group):
-        raise AssertionError(f"cells {group} computed before the oracle limit was checked")
+    def no_cells(task):
+        raise AssertionError(f"cells {task} computed before the oracle limit was checked")
 
-    monkeypatch.setattr(cli, "_sweep_n", no_cells)
+    monkeypatch.setattr(cli, "_sweep_task", no_cells)
     argv = [
         "sweep", "--n-min", "16777214", "--n-max", "16777217", "--s", "3",
         "--verify-oracle", "--force-oracle",
@@ -519,7 +539,7 @@ def test_streamed_sweep_is_identical_across_jobs(capsys, tmp_path, fmt):
 def test_sweep_bytes_are_identical_across_jobs(capsys, monkeypatch, tmp_path, fmt, case):
     args = ["sweep", "--n-min", "5", "--n-max", "60", "--format", fmt]
     if case == "fixed-s":
-        args += ["--s", "5"]  # 50 cells: pool tasks of 3 leave a short last one
+        args += ["--s", "5"]  # 50 n: pool chunks of 3 leave a short last one
     reference = tmp_path / "reference"
     assert cli.main([*args, "--out", str(reference)]) == 0
     if case == "all-small-blocks":
@@ -531,17 +551,6 @@ def test_sweep_bytes_are_identical_across_jobs(capsys, monkeypatch, tmp_path, fm
         assert cli.main([*args, "--jobs", jobs, "--out", str(out)]) == 0
         assert out.read_bytes() == reference.read_bytes()
     capsys.readouterr()
-
-
-def test_sweep_tasks_cover_every_cell_once():
-    args = cli.build_parser().parse_args(["sweep", "--n-min", "5", "--n-max", "40"])
-    for fixed_s, lo in [(None, 5), (7, 15)]:
-        for task_cells in (1, 5, 7, 1000):
-            tasks = list(cli._sweep_tasks(args, lo, fixed_s, task_cells))
-            assert [n for _, groups in tasks for n, _, _ in groups] == list(range(lo, 41))
-            cells = [sum(len(chords) for _, chords, _ in groups) for _, groups in tasks]
-            assert sum(cells) == cli._cell_count(lo, 40, fixed_s)
-            assert all(count >= task_cells for count in cells[:-1])
 
 
 def test_streamed_json_of_empty_sweep_is_empty_array(capsys):
