@@ -8,13 +8,12 @@ reporting and for pruning the class enumeration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import CirculantParams
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """The three upper bounds and their pointwise minimum."""
 
     du: int

@@ -218,7 +218,7 @@ def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
     for p, exact in zip(ps, diameters_exact(ps)):
         formula = diameter_formula(p)
         rep = bounds_report(p)
-        oracle_value = oracle_diameter(p).value if verify else None
+        bfs = oracle_diameter(p) if verify else None
         rows.append(
             {
                 "n": n,
@@ -226,13 +226,15 @@ def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
                 "diam_algorithm": exact.value,
                 "diam_formula": formula.value if formula else None,
                 "formula_case": formula.case.value if formula else "uncovered",
-                "diam_oracle": oracle_value,
+                "diam_oracle": bfs.value if bfs else None,
                 "bound_du": rep.du,
                 "bound_gn": rep.gobel_neutel,
                 "bound_new": rep.new_bound,
                 "bound_combined": rep.combined,
                 "agree_formula": formula.value == exact.value if formula else None,
-                "agree_oracle": oracle_value == exact.value if verify else None,
+                "agree_oracle": (
+                    (bfs.value, bfs.witnesses) == (exact.value, exact.witnesses) if bfs else None
+                ),
                 "witness_min": exact.witnesses[0],
             }
         )

@@ -16,8 +16,8 @@ grid (n up to 400, every valid s).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .params import CirculantParams, DecompositionContext, decompose
 
@@ -43,8 +43,7 @@ _PARITY_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """A closed-form diameter value plus the case and branch that fired."""
 
     value: int

@@ -10,16 +10,15 @@ Two BFS routes, chosen by n alone:
   It is the only route that returns per-vertex distances, and
   `oracle_diameter` uses it above n = 2**11.
 - For n <= 2**11, `oracle_diameter` runs a level-synchronous BFS on n-bit
-  integers: one level is the frontier rotated by each offset, ORed, minus
-  the vertices already seen, a few word-parallel operations instead of one
-  Python step per vertex.  On these small rings that is 1.4-14x cheaper
-  than the queue (most at chords near sqrt(n), where the BFS has few
-  levels); above 2**11 it can lose (see `_BITSET_MAX_N`).
+  integers: one level is the frontier shifted by each offset, ORed, folded
+  back once into n bits (every bit lands below 2n) and stripped of the
+  vertices already seen, 10 bigint operations instead of one Python step
+  per vertex.  Above 2**11 it can lose to the queue (see `_BITSET_MAX_N`).
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diameter import DiameterResult
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
@@ -31,14 +30,15 @@ _MAX_N = 1 << 24
 # largest n for the bitmask BFS.  It costs about D * ceil(n/30) bigint digit
 # operations against about n Python steps for the queue, and D <= ceil(n/4)
 # for every chord, so the bitmask's lead shrinks as n grows.  Its time over
-# the queue's at s = 2 and s = (n-1)//2 (2-vCPU Xeon, Python 3.11) was
-# 0.45/0.46 at n = 300, 0.71/0.69 at n = 2048 and 1.07/1.14 at n = 4096,
-# so 2**11 is the largest power of two at which it never loses
+# the queue's at s = 2, isqrt(n) and (n-1)//2 (median of 4 runs of 7-9
+# repeats, 2-vCPU Xeon, Python 3.11) was 0.32/0.07/0.33 at n = 300,
+# 0.51/0.05/0.55 at n = 2048 and 0.85/0.07/0.96 at n = 4096, where single
+# runs at s = (n-1)//2 read 0.66-1.69; so 2**11 is the largest power of
+# two at which it wins every chord with a margin
 _BITSET_MAX_N = 1 << 11
 
 
-@dataclass(frozen=True)
-class ExplicitGraph:
+class ExplicitGraph(NamedTuple):
     """Adjacency of C_n(1, s) as the four neighbor offsets, applied lazily.
 
     Offsets are stored normalized to [1, n); they are pairwise distinct for
@@ -118,32 +118,31 @@ def oracle_diameter(p: CirculantParams, all_sources: bool = False) -> DiameterRe
 def _bitset_eccentricity(g: ExplicitGraph) -> tuple[int, int]:
     """Level-synchronous BFS from vertex 0 with vertex sets as n-bit ints.
 
-    Returns the eccentricity of vertex 0 and the bitmask of the vertices at
-    that distance (the last frontier).
+    Each offset lies in [1, n) and the frontier below bit n, so the four
+    left shifts land below bit 2n: one fold, x | x >> n, turns their union
+    into the union of the four rotations (bits at n and above are then
+    cut by the unseen mask).  Returns the eccentricity of vertex 0 and the
+    bitmask of the vertices at that distance (the last frontier).
     """
     n = g.n
     a, b, c, d = g.offsets
-    ra, rb, rc, rd = n - a, n - b, n - c, n - d
-    unseen = (1 << n) - 2  # every vertex but 0; also masks shifts to n bits
-    frontier = 1
+    unseen = (1 << n) - 2  # every vertex but 0; also masks the fold to n bits
+    f = 1  # the frontier
     depth = 0
     while unseen:
-        f = frontier
-        # rotating left by an offset is (f << off) | (f >> (n - off))
-        frontier = (
-            f << a | f >> ra | f << b | f >> rb | f << c | f >> rc | f << d | f >> rd
-        ) & unseen
-        unseen ^= frontier
+        x = f << a | f << b | f << c | f << d
+        f = (x | x >> n) & unseen
+        unseen ^= f
         depth += 1
-    return depth, frontier
+    return depth, f
 
 
 def _set_bits(mask: int, lo: int, hi: int) -> tuple[int, ...]:
     """Indices in [lo, hi] of the set bits of mask, ascending."""
-    bits = bin(mask)[:1:-1]  # bit i is bits[i]
+    m = mask & ((2 << hi) - (1 << lo))  # bits lo..hi
     out = []
-    i = bits.find("1", lo, hi + 1)
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1, hi + 1)
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return tuple(out)

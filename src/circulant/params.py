@@ -9,6 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class OutOfRangeError(ValueError):
@@ -67,8 +68,7 @@ def validate_params(n: int, s: int) -> CirculantParams:
     return CirculantParams(n, s)
 
 
-@dataclass(frozen=True)
-class DecompositionContext:
+class DecompositionContext(NamedTuple):
     """Derived integers of a valid (n, s).
 
     lam and gamma are quotient and remainder of n by s (n = lam*s + gamma,

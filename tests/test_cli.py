@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import circulant.diameter as diameter_mod
-from circulant import CirculantParams, cli, diameter_exact
+from circulant import CirculantParams, DiameterResult, cli, diameter_exact
 from circulant.formulas import FormulaCase, FormulaResult
 
 
@@ -373,6 +373,22 @@ def test_sweep_mismatch_exits_2(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["sweep", "--n-min", "12", "--n-max", "12", "--s", "3"])
     assert code == 2
     assert "12,3,3,99,gamma_zero" in out
+
+
+def test_sweep_oracle_witness_mismatch_exits_2(capsys, monkeypatch):
+    # right value, one witness short: the BFS check covers witnesses too
+    real_oracle = cli.oracle_diameter
+
+    def short_witnesses(p):
+        res = real_oracle(p)
+        return DiameterResult(res.value, res.witnesses[1:], res.method)
+
+    monkeypatch.setattr(cli, "oracle_diameter", short_witnesses)
+    code, out, _ = run_cli(
+        capsys, ["sweep", "--n-min", "13", "--n-max", "13", "--s", "5", "--verify-oracle"]
+    )
+    assert code == 2
+    assert out.splitlines()[1] == "13,5,2,2,lambda_le_gamma,2,3,3,4,3,true,false,2"
 
 
 def test_jobs_default_comes_from_environment(monkeypatch):

@@ -3,7 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from circulant import CirculantParams, OutOfRangeError, decompose, validate_params
+from circulant import (
+    CirculantParams,
+    OutOfRangeError,
+    bounds_report,
+    build_adjacency,
+    decompose,
+    diameter_formula,
+    validate_params,
+)
 
 from _strategies import valid_params
 
@@ -84,3 +92,19 @@ def test_decompose_reconstructs_n_and_s(p):
 @given(valid_params())
 def test_decompose_is_deterministic(p):
     assert decompose(p) == decompose(p)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (decompose, "lam"),
+        (bounds_report, "combined"),
+        (build_adjacency, "offsets"),
+        (diameter_formula, "value"),
+    ],
+    ids=["DecompositionContext", "BoundsReport", "ExplicitGraph", "FormulaResult"],
+)
+def test_per_cell_records_are_immutable(make, field):
+    record = make(CirculantParams(13, 5))
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
