@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 from .bounds import bounds_report
 from .diameter import diameter_exact, diameters_exact
-from .distance import distance
+from .distance import closest_point, distance
 from .formulas import diameter_formula, formula_witness
 from .oracle import check_oracle_n, oracle_diameter
 from .params import (
@@ -33,7 +33,7 @@ from .params import (
     VertexOutOfRangeError,
     validate_params,
 )
-from .paths import render_path
+from .paths import render_path, translate_endpoints
 
 # verify-oracle cutoff: BFS is O(n) per cell but grids are O(n^2) cells
 _ORACLE_N_CAP = 2000
@@ -142,18 +142,17 @@ def _print_payload(payload: dict, fmt: str, inputs: tuple[str, ...]) -> int:
 
 def _cmd_distance(args) -> int:
     p = validate_params(args.n, args.s)
-    res = distance(p, args.src, args.dst)
-    payload = {
-        "n": p.n,
-        "s": p.s,
-        "from": args.src,
-        "to": args.dst,
-        "distance": res.value,
-    }
+    payload: dict = {"n": p.n, "s": p.s, "from": args.src, "to": args.dst}
     if args.witness:
+        # the class scan and the realized path, whose output is O(d) anyway
+        res = distance(p, args.src, args.dst)
         shifted = [(v + args.src) % p.n for v in res.realized]
+        payload["distance"] = res.value
         payload["class"] = str(res.argmin_class)
         payload["path"] = render_path(shifted, res.argmin_class)
+    else:
+        x, y = closest_point(p, translate_endpoints(p, args.src, args.dst))
+        payload["distance"] = abs(x) + abs(y)
     return _print_payload(payload, args.format, ("n", "s", "from", "to"))
 
 

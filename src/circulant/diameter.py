@@ -83,11 +83,8 @@ def diameters_exact(ps: Sequence[CirculantParams]) -> list[DiameterResult]:
         raise ValueError("diameters_exact needs graphs that share one n")
     if not ps:
         return []
-    n, chords = ps[0].n, [p.s for p in ps]
     return _scan(
-        ps[0].half,
-        len(ps),
-        lambda first, last, lo, hi: _lattice_block(n, chords[first:last], lo, hi),
+        ps[0].half, len(ps), lambda first, last, lo, hi: _lattice_block(ps[first:last], lo, hi)
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact vertex distances, by two routes that agree on every vertex.
+"""Exact vertex distances, by routes that agree on every vertex.
 
 d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
 and y chord steps.  The scalar route, distance_from_zero, scans the
@@ -6,12 +6,14 @@ canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
 reports the minimizing class and a realized path; it uses Python integers,
 so it has no range limit.  It reads the family table paths.FAMILY_RULES,
 the one canonical_classes reads, and does no family arithmetic itself.  The
-bulk route, the lattice kernel _lattice_block, treats the minimum as an L1
-closest-vector problem in a 2-D lattice: a Gauss-reduced basis leaves 4
-candidate points per vertex for every chord, evaluated with int64 numpy on
-a (chord x vertex) block of one n.  distance_range is its one-chord case;
+lattice routes treat the minimum as an L1 closest-vector problem in the 2-D
+lattice of the graph: its reduced basis, CirculantParams.basis, leaves 4
+candidate points per vertex for every chord.  closest_point applies that
+rule to one vertex with Python integers, with no range limit, and proves
+it; the bulk kernel _lattice_block applies it with int64 numpy to a (chord
+x vertex) block of one n.  distance_range is the kernel's one-chord case;
 diameter.diameters_exact runs it on every chord of an n at once.  The
-tests hold the bulk route to the scan and to BFS.
+tests hold the lattice routes to the scan and to BFS.
 
 numpy is imported by the first kernel call, not with this module, so a
 process that only asks scalar queries never loads it.
@@ -88,43 +90,19 @@ def distance(p: CirculantParams, i: int, j: int) -> DistanceResult:
     return distance_from_zero(p, translate_endpoints(p, i, j))
 
 
-def _reduced_basis(n: int, s: int) -> tuple[int, int, int, int]:
-    """Gauss-Lagrange reduced basis (u, w) of {(x, y) : x + s*y = 0 mod n}.
+def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
+    """A lattice point (x, y) with x + s*y = i (mod n) and |x| + |y| = d(0, i).
 
-    Returns (ux, uy, wx, wy) with |u| <= |w|, |u.w| <= |u|^2 / 2, the
-    heavier coordinate of u positive and ux*wy - uy*wx = n.  Starts from
-    {(n, 0), (-s, 1)} and takes O(log n) integer steps.
-    """
-    ux, uy, wx, wy = -s, 1, n, 0
-    while True:
-        uu = ux * ux + uy * uy
-        m = (2 * (ux * wx + uy * wy) + uu) // (2 * uu)  # round(u.w / u.u)
-        wx, wy = wx - m * ux, wy - m * uy
-        if wx * wx + wy * wy >= uu:
-            break
-        ux, uy, wx, wy = wx, wy, ux, uy
-    if (ux if abs(ux) >= abs(uy) else uy) < 0:
-        ux, uy = -ux, -uy
-    if ux * wy - uy * wx < 0:
-        wx, wy = -wx, -wy
-    return ux, uy, wx, wy
-
-
-def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """d(0, i) on each chord of one n, for every i in [lo, hi].
-
-    The result is a (len(chords) x (hi - lo + 1)) int64 array with row k
-    for chords[k]; each chord's basis is reduced once per call.
-
-    d(0, i) is the least |x| + |y| over x + s*y = i (mod n): the L1
-    distance from P = (i, 0) to the lattice L = {x + s*y = 0 (mod n)}, whose
-    determinant is n.  With the reduced basis (u, w) of _reduced_basis,
-    write P = alpha*u + beta*w; then beta = -i*uy/n.  Row B is the line
-    {P - B*w - A*u : A real}.  On a row, f(A) = |X - A*u|_1 is convex with
-    breakpoints where either coordinate vanishes, and its real minimum is
-    at the breakpoint of the heavier coordinate h of u (|uh| = |u|_inf), so
-    the best lattice point of the row is at A = floor or ceil of Xh/uh.
-    Only rows b0 = floor(beta) and b0 + 1 can hold the minimum:
+    d(0, i) is the L1 distance from P = (i, 0) to the lattice
+    L = {x + s*y = 0 (mod n)}, whose determinant is n, and (x, y) is P
+    minus a closest point of L.  With the reduced basis (u, w) of
+    p.basis, write P = alpha*u + beta*w; then beta = -i*uy/n.  Row B is
+    the line {P - B*w - A*u : A real}.  On a row, f(A) = |X - A*u|_1 is
+    convex with breakpoints where either coordinate vanishes, and its real
+    minimum is at the breakpoint of the heavier coordinate h of u
+    (|uh| = |u|_inf), so the best lattice point of the row is at A = floor
+    or ceil of Xh/uh.  Only rows b0 = floor(beta) and b0 + 1 can hold the
+    minimum:
 
     - Every point x of row B has |(-uy, ux) . x| = |beta - B|*n, and
       Hoelder gives |x|_1 >= |beta - B|*g with g = n/|u|_inf.  The
@@ -138,12 +116,32 @@ def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarra
     - Every other row has offset at least e + 1, so all its points have
       |x|_1 >= e*g + g, more than the bound above.
 
+    Plain Python integers, so it has no range limit.  Ties go to the first
+    candidate.
+    """
+    ux, uy, wx, wy = p.basis
+    b0 = -i * uy // p.n
+    candidates = []
+    for b in (b0, b0 + 1):
+        x, y = i - b * wx, -b * wy  # X = P - b*w
+        a = x // ux if abs(ux) >= abs(uy) else y // uy
+        candidates += [(x - a * ux, y - a * uy), (x - (a + 1) * ux, y - (a + 1) * uy)]
+    return min(candidates, key=lambda c: abs(c[0]) + abs(c[1]))
+
+
+def _lattice_block(ps: Sequence[CirculantParams], lo: int, hi: int) -> np.ndarray:
+    """d(0, i) on each graph of ps, which share one n, for every i in [lo, hi].
+
+    The result is a (len(ps) x (hi - lo + 1)) int64 array with row k for
+    ps[k], by the rule of closest_point (proved there) on ps[k].basis.
+
     Each pass evaluates the 2 rows x 2 candidates of at most _CHUNK
     (chord, vertex) pairs with int64 numpy, with the pass's chords as a
     column.  Intermediates stay below 12*n except i*uy, which stays below
     1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n raises
     OutOfRangeError (distance_from_zero has no such limit).
     """
+    n = ps[0].n
     if n > _MAX_N:
         raise OutOfRangeError(
             f"n={n} exceeds 2**40, the int64 limit of distance_range; "
@@ -151,7 +149,7 @@ def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarra
         )
     import numpy as np
 
-    bases = [_reduced_basis(n, s) for s in chords]
+    bases = [p.basis for p in ps]
     # per chord: -uy, then uh, ul, -wh, -wl in the heavy/light coordinates
     # of u.  Chords whose u is heavy in x come first, and no pass mixes the
     # two kinds, so a pass adds i to one coordinate of all its rows
@@ -161,7 +159,7 @@ def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarra
     for k in order:
         ux, uy, wx, wy = bases[k]
         table.append((-uy, ux, uy, -wx, -wy) if abs(ux) >= abs(uy) else (-uy, uy, ux, -wy, -wx))
-    count, m = len(chords), hi - lo + 1
+    count, m = len(ps), hi - lo + 1
     out = np.empty((count, m), dtype=np.int64)
     group = max(1, min(count, _CHUNK // m))
     width = min(m, _CHUNK // group)
@@ -213,10 +211,10 @@ def _lattice_block(n: int, chords: Sequence[int], lo: int, hi: int) -> np.ndarra
 def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     """d(0, i) for every i in [lo, hi] as an int64 array.
 
-    The one-chord case of the lattice kernel _lattice_block, which proves
-    the 2 rows x 2 candidates it evaluates per vertex.  Accepts n <= 2**40
-    and raises OutOfRangeError above (distance_from_zero has no such limit).
+    The one-chord case of the lattice kernel _lattice_block.  Accepts
+    n <= 2**40 and raises OutOfRangeError above (distance_from_zero and
+    closest_point have no such limit).
     """
     if lo < 0 or hi >= p.n or lo > hi:
         raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
-    return _lattice_block(p.n, [p.s], lo, hi)[0]
+    return _lattice_block([p], lo, hi)[0]

@@ -2,12 +2,14 @@
 
 A circulant graph C_n(1, s) has vertex set Z_n with i ~ j iff the circular
 distance |i - j|_n is 1 or s.  All questions about its metric reduce to
-integer arithmetic on the quotients and remainders collected here.
+integer arithmetic on the quotients and remainders collected here, and on
+CirculantParams.basis, the reduced basis of {(x, y) : x + s*y = 0 mod n}.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -51,6 +53,30 @@ class CirculantParams:
     def half(self) -> int:
         """Largest index that must be inspected explicitly: floor(n/2)."""
         return self.n // 2
+
+    @cached_property
+    def basis(self) -> tuple[int, int, int, int]:
+        """Gauss-Lagrange reduced basis (u, w) of {(x, y) : x + s*y = 0 mod n}.
+
+        (ux, uy, wx, wy) with |u| <= |w|, |u.w| <= |u|^2 / 2, the heavier
+        coordinate of u positive and ux*wy - uy*wx = n, from O(log n) steps
+        on {(n, 0), (-s, 1)}.  Cached in the instance __dict__, so the
+        dataclass stays frozen, equal, hashable and picklable.
+        """
+        n, s = self.n, self.s
+        ux, uy, wx, wy = -s, 1, n, 0
+        while True:
+            uu = ux * ux + uy * uy
+            m = (2 * (ux * wx + uy * wy) + uu) // (2 * uu)  # round(u.w / u.u)
+            wx, wy = wx - m * ux, wy - m * uy
+            if wx * wx + wy * wy >= uu:
+                break
+            ux, uy, wx, wy = wx, wy, ux, uy
+        if (ux if abs(ux) >= abs(uy) else uy) < 0:
+            ux, uy = -ux, -uy
+        if ux * wy - uy * wx < 0:
+            wx, wy = -wx, -wy
+        return ux, uy, wx, wy
 
 
 def _integer(name: str, value) -> int:

@@ -6,9 +6,11 @@ exercise exactly what a shell invocation would, including exit codes.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +21,9 @@ import pytest
 
 import circulant.diameter as diameter_mod
 from circulant import CirculantParams, DiameterResult, cli, diameter_exact
+from circulant.distance import wrap_limit
 from circulant.formulas import FormulaCase, FormulaResult
+from circulant.paths import class_lengths
 
 
 def run_cli(capsys, argv):
@@ -78,6 +82,35 @@ def test_distance_json_no_witness_omits_path(capsys):
     payload = json.loads(out)
     assert "path" not in payload
     assert "class" not in payload
+
+
+def test_plain_distance_realizes_no_path(capsys, monkeypatch):
+    # the value comes from the closest lattice point; at n = 10^9 a realized
+    # path would hold about 1.7 * 10^8 vertices
+    def no_path(*args):
+        raise AssertionError("realize_path called")
+
+    # circulant.distance is rebound to the function of that name
+    monkeypatch.setattr(importlib.import_module("circulant.distance"), "realize_path", no_path)
+    for n, s, src, dst, value in [(10, 4, 0, 6, 1), (10**9, 3, 0, 5 * 10**8, 166_666_668)]:
+        argv = ["distance", "--n", str(n), "--s", str(s), "--from", str(src), "--to", str(dst)]
+        assert run_cli(capsys, argv) == (0, f"distance = {value}\n", "")
+
+
+def test_plain_distance_at_huge_n_matches_multiplier_image(capsys):
+    # i -> u*i with u = s^-1 mod n maps C_n(1, s) onto C_n(1, 2) here, where
+    # the class scan needs only a couple of wrap counts
+    n, s = 10**9 + 1, 5 * 10**8
+    u = pow(s, -1, n)
+    image = CirculantParams(n, min(u, n - u))
+    assert image.s == 2
+    rng = random.Random(9)
+    for _ in range(20):
+        src, dst = rng.randrange(n), rng.randrange(n)
+        argv = ["distance", "--n", str(n), "--s", str(s), "--from", str(src), "--to", str(dst)]
+        code, out, _ = run_cli(capsys, argv)
+        value, _, _ = min(class_lengths(image, u * (dst - src) % n, wrap_limit(image)))
+        assert (code, out) == (0, f"distance = {value}\n"), (src, dst)
 
 
 # ---------------------------------------------------------------- diameter

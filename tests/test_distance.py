@@ -1,4 +1,5 @@
-"""Distance values, argmin classes, and the vectorized range kernel."""
+"""Distance values, argmin classes, the closest-point rule and the range kernel."""
+import math
 import random
 
 import numpy as np
@@ -16,8 +17,8 @@ from circulant import (
     distance_from_zero,
     distance_range,
 )
-from circulant.distance import _CHUNK, wrap_limit
-from circulant.paths import t_range
+from circulant.distance import _CHUNK, closest_point, wrap_limit
+from circulant.paths import class_lengths, t_range
 
 P10 = CirculantParams(10, 4)
 
@@ -202,3 +203,41 @@ def test_wrap_limit_collapses_for_large_n():
     p = CirculantParams(1_000_000, 997)
     assert t_range(p) == 997
     assert wrap_limit(p) <= 2
+
+
+def _check_closest_point(p, i, value):
+    x, y = closest_point(p, i)
+    assert (x + p.s * y - i) % p.n == 0, (p, i)
+    assert abs(x) + abs(y) == value, (p, i)
+
+
+def test_closest_point_matches_kernel_on_small_cells():
+    for n in range(5, 201):
+        for s in range(2, (n - 1) // 2 + 1):
+            p = CirculantParams(n, s)
+            for i, value in enumerate(distance_range(p, 0, p.half).tolist()):
+                _check_closest_point(p, i, value)
+
+
+def test_closest_point_matches_kernel_on_seeded_vertices():
+    rng = random.Random(400)
+    for n in range(201, 401):
+        for s in range(2, (n - 1) // 2 + 1):
+            p = CirculantParams(n, s)
+            dist = distance_range(p, 0, p.half).tolist()
+            for i in rng.sample(range(p.half + 1), 16):
+                _check_closest_point(p, i, dist[i])
+
+
+def test_closest_point_matches_class_scan_at_huge_n():
+    # past the kernel's 2**40 and BFS: with s <= isqrt(n) the scan needs at
+    # most 2 wrap counts, so it is cheap there
+    rng = random.Random(62)
+    for _ in range(300):
+        n = rng.randrange(2**40, 2**62 + 1)
+        s = round(math.exp(rng.uniform(math.log(2), math.log(math.isqrt(n)))))
+        p = CirculantParams(n, s)
+        limit = wrap_limit(p)
+        assert limit <= 2, p
+        for i in (rng.randrange(n) for _ in range(4)):
+            _check_closest_point(p, i, min(class_lengths(p, i, limit))[0])

@@ -1,4 +1,7 @@
 """Closed-form diameters, case classification, constructed witnesses."""
+import math
+import random
+
 import pytest
 
 from circulant import (
@@ -11,6 +14,7 @@ from circulant import (
     distance_from_zero,
     formula_witness,
 )
+from circulant.distance import closest_point
 
 
 def _case(n, s):
@@ -118,3 +122,25 @@ def test_every_branch_fires_somewhere():
         (FormulaCase.LAMBDA_LE_GAMMA, "e1"),
         (FormulaCase.LAMBDA_LE_GAMMA, "p1_minus_1"),
     }
+
+
+def test_closed_forms_hold_beyond_the_audit_grid():
+    # 200 covered cells with n and s log-uniform, n in [10^4, 10^6]; each
+    # witness is measured by the closest-point rule, not by the kernel
+    rng = random.Random(6)
+    cases, covered = set(), 0
+    while covered < 200:
+        n = round(10 ** rng.uniform(4, 6))
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        p = CirculantParams(n, s)
+        res = diameter_formula(p)
+        if res is None:
+            continue
+        covered += 1
+        cases.add(res.case)
+        assert res.value == diameter_exact(p).value, (n, s)
+        witness = formula_witness(p)
+        if witness is not None:
+            x, y = closest_point(p, witness)
+            assert abs(x) + abs(y) == res.value, (n, s, witness)
+    assert cases == set(FormulaCase) - {FormulaCase.UNCOVERED}

@@ -1,4 +1,8 @@
-"""Parameter validation and integer decomposition."""
+"""Parameter validation, integer decomposition and the reduced basis."""
+import dataclasses
+import pickle
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,3 +112,35 @@ def test_per_cell_records_are_immutable(make, field):
     record = make(CirculantParams(13, 5))
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
+
+
+def _check_reduced_basis(p):
+    ux, uy, wx, wy = p.basis
+    uu, ww, uw = ux * ux + uy * uy, wx * wx + wy * wy, ux * wx + uy * wy
+    assert (ux + p.s * uy) % p.n == 0 and (wx + p.s * wy) % p.n == 0, p
+    assert ux * wy - uy * wx == p.n, p
+    assert uu <= ww and 2 * abs(uw) <= uu, p
+    assert (ux if abs(ux) >= abs(uy) else uy) > 0, p
+
+
+def test_basis_is_reduced_on_the_audit_grid():
+    for n in range(5, 401):
+        for s in range(2, (n - 1) // 2 + 1):
+            _check_reduced_basis(CirculantParams(n, s))
+
+
+def test_basis_is_reduced_at_huge_n():
+    rng = random.Random(40)
+    for _ in range(300):
+        n = rng.randrange(2**40, 2**62 + 1)
+        _check_reduced_basis(CirculantParams(n, rng.randint(2, (n - 1) // 2)))
+
+
+def test_cached_basis_keeps_params_frozen_equal_and_picklable():
+    p = CirculantParams(1000, 37)
+    basis = p.basis
+    assert p.basis is basis
+    assert p == CirculantParams(1000, 37) and hash(p) == hash(CirculantParams(1000, 37))
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 1001
