@@ -18,18 +18,11 @@ from .distance import DistanceResult, distance, distance_from_zero, distance_ran
 from .formulas import (
     FormulaCase,
     FormulaResult,
-    classify_case,
     diameter_formula,
     formula_witness,
 )
 from .oracle import bfs_distances, build_adjacency, oracle_diameter
-from .params import (
-    CirculantParams,
-    OutOfRangeError,
-    VertexOutOfRangeError,
-    decompose,
-    validate_params,
-)
+from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
 from .paths import (
     Family,
     PathClass,
@@ -37,8 +30,6 @@ from .paths import (
     canonical_classes,
     realize_path,
     reduce_walk,
-    render_path,
-    translate_endpoints,
 )
 
 __version__ = "0.1.0"
@@ -58,8 +49,6 @@ __all__ = [
     "bounds_report",
     "build_adjacency",
     "canonical_classes",
-    "classify_case",
-    "decompose",
     "diameter_exact",
     "diameter_formula",
     "distance",
@@ -70,7 +59,4 @@ __all__ = [
     "oracle_diameter",
     "realize_path",
     "reduce_walk",
-    "render_path",
-    "translate_endpoints",
-    "validate_params",
 ]

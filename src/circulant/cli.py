@@ -27,12 +27,7 @@ from .diameter import diameter_exact, diameters_exact
 from .distance import closest_point, distance
 from .formulas import diameter_formula, formula_witness
 from .oracle import check_oracle_n, oracle_diameter
-from .params import (
-    CirculantParams,
-    OutOfRangeError,
-    VertexOutOfRangeError,
-    validate_params,
-)
+from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
 from .paths import render_path, translate_endpoints
 
 # verify-oracle cutoff: BFS is O(n) per cell but grids are O(n^2) cells
@@ -141,7 +136,7 @@ def _print_payload(payload: dict, fmt: str, inputs: tuple[str, ...]) -> int:
 
 
 def _cmd_distance(args) -> int:
-    p = validate_params(args.n, args.s)
+    p = CirculantParams(args.n, args.s)
     payload: dict = {"n": p.n, "s": p.s, "from": args.src, "to": args.dst}
     if args.witness:
         # the class scan and the realized path, whose output is O(d) anyway
@@ -157,7 +152,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    p = validate_params(args.n, args.s)
+    p = CirculantParams(args.n, args.s)
     payload: dict = {"n": p.n, "s": p.s, "method": args.method}
     if args.method == "formula":
         res = diameter_formula(p)
@@ -176,25 +171,13 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    p = validate_params(args.n, args.s)
+    p = CirculantParams(args.n, args.s)
     rep = bounds_report(p)
     diam = diameter_exact(p).value
     slack = rep.combined - diam
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": p.n,
-                    "s": p.s,
-                    "du": rep.du,
-                    "gobel_neutel": rep.gobel_neutel,
-                    "new_bound": rep.new_bound,
-                    "combined": rep.combined,
-                    "diam_algorithm": diam,
-                    "slack": slack,
-                }
-            )
-        )
+        payload = {"n": p.n, "s": p.s, **rep._asdict(), "diam_algorithm": diam, "slack": slack}
+        print(json.dumps(payload))
         return 0
     print(
         f"du={rep.du} gn={rep.gobel_neutel} new={rep.new_bound} "

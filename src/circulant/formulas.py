@@ -1,11 +1,12 @@
 """Closed-form diameter values and constructed peripheral vertices.
 
-Write n = lam*s + gamma.  When gamma = 0 the diameter is a single floor
-expression.  When lam > gamma > 0 there is one formula per parity pair of
-(n, s), each a small piecewise function of gamma.  When lam <= gamma and
-the secondary split s = a*gamma + b has 0 < b <= a*lam + 1, the diameter
-comes from the midpoint quantities p0..p3.  Everything else has no known
-closed form and callers fall back to diameter_exact.
+Write n = lam*s + gamma (params.decompose).  When gamma = 0 the diameter
+is a single floor expression.  When lam > gamma > 0 there is one formula
+per parity pair of (n, s), each a small piecewise function of gamma.  When
+lam <= gamma and the secondary split s = a*gamma + b has
+0 < b <= a*lam + 1, the diameter comes from four route midpoints p0..p3,
+computed in that branch alone.  Everything else has no known closed form
+and callers fall back to diameter_exact.
 
 The four parity families also admit constructed witnesses: explicit
 vertices whose distance attains the diameter.  Each construction places
@@ -95,13 +96,16 @@ def diameter_formula(p: CirculantParams) -> FormulaResult | None:
             return FormulaResult(lam // 2 + (s - gamma + 1) // 2, case, "small_gamma")
         return FormulaResult((lam + 1) // 2 + (gamma - 1) // 2, case, "large_gamma")
     if case is FormulaCase.LAMBDA_LE_GAMMA:
-        assert ctx.p1 is not None and ctx.p2 is not None and ctx.e1 is not None
-        assert ctx.a is not None and ctx.b is not None
+        a, b = ctx.a, ctx.b
+        p1 = (gamma - b + (a + 1) * lam + 1) // 2
+        p2 = (gamma + b + (a - 1) * lam + 1) // 2
         # when the two long-route midpoints coincide and the parity product
         # is odd, both routes overshoot by exactly one step
-        if ctx.p1 == ctx.p2 and ((gamma + ctx.b) * (ctx.a * lam - lam + 1)) % 2 == 1:
-            return FormulaResult(ctx.p1 - 1, case, "p1_minus_1")
-        return FormulaResult(ctx.e1, case, "e1")
+        if p1 == p2 and ((gamma + b) * (a * lam - lam + 1)) % 2 == 1:
+            return FormulaResult(p1 - 1, case, "p1_minus_1")
+        p0 = (lam + gamma) // 2
+        p3 = (b + a * lam + 1) // 2
+        return FormulaResult(min(max(p1, p3), max(p0, p2)), case, "e1")
     return None
 
 

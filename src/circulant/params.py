@@ -1,8 +1,9 @@
-"""Parameter validation and the integer decompositions behind every formula.
+"""Validated parameters of C_n(1, s) and the divisions its closed forms use.
 
 A circulant graph C_n(1, s) has vertex set Z_n with i ~ j iff the circular
 distance |i - j|_n is 1 or s.  All questions about its metric reduce to
-integer arithmetic on the quotients and remainders collected here, and on
+integer arithmetic: the closed forms start from n = lam*s + gamma and
+s = a*gamma + b (decompose), and the lattice routes from
 CirculantParams.basis, the reduced basis of {(x, y) : x + s*y = 0 mod n}.
 """
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import NamedTuple
 
 
@@ -89,57 +89,31 @@ def _integer(name: str, value) -> int:
         ) from None
 
 
-def validate_params(n: int, s: int) -> CirculantParams:
-    """Check raw integers and wrap them; raises TypeError or OutOfRangeError."""
-    return CirculantParams(n, s)
-
-
 class DecompositionContext(NamedTuple):
-    """Derived integers of a valid (n, s).
+    """n divided by s, then s by the remainder: where the closed forms start.
 
     lam and gamma are quotient and remainder of n by s (n = lam*s + gamma,
     0 <= gamma < s).  When gamma > 0 the chord length splits in turn as
-    s = a*gamma + b with 0 <= b < gamma.  When additionally b > 0 the four
-    auxiliary midpoints p0..p3 and their combination e1 are available; they
-    drive the closed form for the lam <= gamma regime.  Applicability of
-    any particular closed form is decided elsewhere; this record is pure
-    arithmetic.
+    s = a*gamma + b with 0 <= b < gamma; a and b are None when gamma = 0.
+    Applicability of any particular closed form is decided elsewhere; this
+    record is pure arithmetic.
     """
 
     lam: int
     gamma: int
-    g: int
     a: int | None = None
     b: int | None = None
-    p0: int | None = None
-    p1: int | None = None
-    p2: int | None = None
-    p3: int | None = None
-    e1: int | None = None
 
 
 def decompose(p: CirculantParams) -> DecompositionContext:
-    """Compute all derived quantities for p.
+    """n = lam*s + gamma, then s = a*gamma + b when gamma > 0.
 
-    Fields a, b exist iff gamma > 0; p0..p3 and e1 exist iff additionally
-    b > 0.  The arithmetic uses Python ints, so it has no range limit.
+    The arithmetic uses Python ints, so it has no range limit.
     """
-    n, s = p.n, p.s
-    lam, gamma = divmod(n, s)
-    g = gcd(n, s)
+    lam, gamma = divmod(p.n, p.s)
     if gamma == 0:
-        return DecompositionContext(lam=lam, gamma=gamma, g=g)
-    a, b = divmod(s, gamma)
-    if b == 0:
-        return DecompositionContext(lam=lam, gamma=gamma, g=g, a=a, b=b)
-    p0 = (lam + gamma) // 2
-    p1 = (gamma - b + (a + 1) * lam + 1) // 2
-    p2 = (gamma + b + (a - 1) * lam + 1) // 2
-    p3 = (b + a * lam + 1) // 2
-    e1 = min(max(p1, p3), max(p0, p2))
-    return DecompositionContext(
-        lam=lam, gamma=gamma, g=g, a=a, b=b, p0=p0, p1=p1, p2=p2, p3=p3, e1=e1
-    )
+        return DecompositionContext(lam, gamma)
+    return DecompositionContext(lam, gamma, *divmod(p.s, gamma))
 
 
 def check_vertex(p: CirculantParams, i: int) -> int:

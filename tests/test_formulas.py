@@ -7,14 +7,14 @@ import pytest
 from circulant import (
     CirculantParams,
     FormulaCase,
-    classify_case,
-    decompose,
     diameter_exact,
     diameter_formula,
     distance_from_zero,
     formula_witness,
 )
 from circulant.distance import closest_point
+from circulant.formulas import classify_case
+from circulant.params import decompose
 
 
 def _case(n, s):
@@ -144,3 +144,24 @@ def test_closed_forms_hold_beyond_the_audit_grid():
             x, y = closest_point(p, witness)
             assert abs(x) + abs(y) == res.value, (n, s, witness)
     assert cases == set(FormulaCase) - {FormulaCase.UNCOVERED}
+
+
+def test_lambda_le_gamma_subcases_hold_at_large_n():
+    # a seeded scan for three cells of each lam <= gamma subcase with n in
+    # [10^4, 10^6]; p1_minus_1 needs b close to lam, so about 1 in 4,000
+    # uniform cells has it
+    rng = random.Random(12)
+    found = {"p1_minus_1": [], "e1": []}
+    for _ in range(200_000):
+        n = rng.randint(10**4, 10**6)
+        p = CirculantParams(n, rng.randint(2, (n - 1) // 2))
+        res = diameter_formula(p)
+        if res is not None and res.case is FormulaCase.LAMBDA_LE_GAMMA:
+            if len(found[res.subcase]) < 3:
+                found[res.subcase].append((p, res.value))
+            if all(len(cells) == 3 for cells in found.values()):
+                break
+    assert all(len(cells) == 3 for cells in found.values()), found
+    for subcase, cells in found.items():
+        for p, value in cells:
+            assert value == diameter_exact(p).value, (subcase, p)

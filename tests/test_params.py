@@ -7,78 +7,66 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from circulant import (
-    CirculantParams,
-    OutOfRangeError,
-    bounds_report,
-    build_adjacency,
-    decompose,
-    diameter_formula,
-    validate_params,
-)
+from circulant import CirculantParams, OutOfRangeError, bounds_report, build_adjacency, diameter_formula
+from circulant.params import DecompositionContext, decompose
 
 from _strategies import valid_params
 
 
 def test_accepts_figure_graph():
-    p = validate_params(10, 4)
+    p = CirculantParams(10, 4)
     assert (p.n, p.s) == (10, 4)
 
 
 def test_rejects_s_above_half():
     with pytest.raises(OutOfRangeError):
-        validate_params(10, 5)  # floor(9/2) = 4
+        CirculantParams(10, 5)  # floor(9/2) = 4
 
 
 def test_rejects_small_n():
     with pytest.raises(OutOfRangeError):
-        validate_params(4, 2)
+        CirculantParams(4, 2)
 
 
 def test_rejects_s_below_two():
     with pytest.raises(OutOfRangeError):
-        validate_params(12, 1)
+        CirculantParams(12, 1)
 
 
 def test_boundary_s_is_accepted():
-    validate_params(11, 5)
-    validate_params(12, 5)
+    CirculantParams(11, 5)
+    CirculantParams(12, 5)
     with pytest.raises(OutOfRangeError):
-        validate_params(11, 6)
+        CirculantParams(11, 6)
 
 
 @pytest.mark.parametrize("n, s", [(10.9, 4), (10.5, 4), ("10", 4), (10, 4.0), (10, None)])
 def test_rejects_non_integral_values(n, s):
-    # validate_params(10.9, 4) used to truncate to n = 10; CirculantParams(10.5, 4)
-    # was accepted and failed later inside distance
-    with pytest.raises(TypeError, match="need an integer"):
-        validate_params(n, s)
+    # CirculantParams(10.9, 4) must not truncate to n = 10, and (10.5, 4) must
+    # not be accepted only to fail later inside distance
     with pytest.raises(TypeError, match="need an integer"):
         CirculantParams(n, s)
 
 
 def test_accepts_numpy_integers_as_python_ints():
-    for p in (validate_params(np.int64(10), np.int32(4)), CirculantParams(np.int64(10), np.int64(4))):
+    for p in (CirculantParams(np.int64(10), np.int32(4)), CirculantParams(np.int64(10), np.int64(4))):
         assert p == CirculantParams(10, 4)
         assert type(p.n) is int and type(p.s) is int
 
 
 def test_decompose_gamma_zero():
-    ctx = decompose(validate_params(12, 3))
-    assert (ctx.lam, ctx.gamma, ctx.g) == (4, 0, 3)
-    assert ctx.a is None and ctx.b is None and ctx.p0 is None
+    assert decompose(CirculantParams(12, 3)) == (4, 0, None, None)
 
 
 def test_decompose_full_example():
-    ctx = decompose(validate_params(14, 5))
-    assert (ctx.lam, ctx.gamma, ctx.g, ctx.a, ctx.b) == (2, 4, 1, 1, 1)
-    assert (ctx.p0, ctx.p1, ctx.p2, ctx.p3, ctx.e1) == (3, 4, 3, 2, 3)
+    # 14 = 2*5 + 4 and 5 = 1*4 + 1
+    assert decompose(CirculantParams(14, 5)) == DecompositionContext(lam=2, gamma=4, a=1, b=1)
 
 
 def test_decompose_b_zero_drops_midpoints():
-    ctx = decompose(validate_params(10, 4))
-    assert (ctx.lam, ctx.gamma, ctx.g, ctx.a, ctx.b) == (2, 2, 2, 2, 0)
-    assert ctx.p0 is None and ctx.e1 is None
+    # 10 = 2*4 + 2 and 4 = 2*2 + 0; the lam <= gamma midpoints are not fields
+    assert decompose(CirculantParams(10, 4)) == (2, 2, 2, 0)
+    assert DecompositionContext._fields == ("lam", "gamma", "a", "b")
 
 
 @given(valid_params())
@@ -89,8 +77,6 @@ def test_decompose_reconstructs_n_and_s(p):
     if ctx.gamma:
         assert p.s == ctx.a * ctx.gamma + ctx.b
         assert 0 <= ctx.b < ctx.gamma
-    if ctx.p0 is not None:
-        assert ctx.e1 == min(max(ctx.p1, ctx.p3), max(ctx.p0, ctx.p2))
 
 
 @given(valid_params())

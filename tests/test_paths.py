@@ -10,10 +10,8 @@ from circulant import (
     canonical_classes,
     realize_path,
     reduce_walk,
-    render_path,
-    translate_endpoints,
 )
-from circulant.paths import InconsistentClassError, t_range
+from circulant.paths import InconsistentClassError, render_path, t_range, translate_endpoints
 
 P10 = CirculantParams(10, 4)
 
