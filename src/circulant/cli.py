@@ -139,7 +139,7 @@ def _cmd_distance(args) -> int:
     p = CirculantParams(args.n, args.s)
     payload: dict = {"n": p.n, "s": p.s, "from": args.src, "to": args.dst}
     if args.witness:
-        # the class scan and the realized path, whose output is O(d) anyway
+        # the class scan, then every vertex of the lazy path: O(d) output
         res = distance(p, args.src, args.dst)
         shifted = [(v + args.src) % p.n for v in res.realized]
         payload["distance"] = res.value

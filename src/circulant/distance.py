@@ -3,15 +3,16 @@
 d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
 and y chord steps.  The scalar route, distance_from_zero, scans the
 canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
-reports the minimizing class and a realized path; it uses Python integers,
-so it has no range limit.  It reads the family table paths.FAMILY_RULES,
-the one canonical_classes reads, and does no family arithmetic itself.  The
-lattice routes treat the minimum as an L1 closest-vector problem in the 2-D
-lattice of the graph: its reduced basis, CirculantParams.basis, leaves 4
-candidate points per vertex for every chord.  closest_point applies that
-rule to one vertex with Python integers, with no range limit, and proves
-it; the bulk kernel _lattice_block applies it with int64 numpy to a (chord
-x vertex) block of one n.  distance_range is the kernel's one-chord case;
+reports the minimizing class and its path as a lazy paths.RealizedPath, so
+a result takes constant memory however long the path; it uses Python
+integers, so it has no range limit.  It reads the family table
+paths.FAMILY_RULES, the one canonical_classes reads, and does no family
+arithmetic itself.  The lattice routes treat the minimum as an L1
+closest-vector problem in the 2-D lattice of the graph: its reduced basis,
+CirculantParams.basis, leaves 4 candidate points per vertex for every
+chord.  closest_point applies that rule to one vertex with Python integers,
+with no range limit, and proves it; the bulk kernel _lattice_block applies
+it with int64 numpy to a (chord x vertex) block of one n.  distance_range is the kernel's one-chord case;
 diameter.diameters_exact runs it on every chord of an n at once.  The
 tests hold the lattice routes to the scan and to BFS.
 
@@ -28,9 +29,11 @@ from .bounds import bounds_report
 from .params import CirculantParams, OutOfRangeError, check_vertex
 from .paths import (
     PathClass,
+    RealizedPath,
     build_class,
     class_lengths,
-    realize_path,
+    lazy_path,
+    realize_path,  # noqa: F401 -- not called; bench/spans.py wraps this global
     t_range,
     translate_endpoints,
 )
@@ -47,11 +50,11 @@ _MAX_N = 1 << 40
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A distance value with the class that attains it and one realization."""
+    """A distance value with the class that attains it and its lazy path."""
 
     value: int
     argmin_class: PathClass
-    realized: tuple[int, ...]
+    realized: RealizedPath
 
 
 def wrap_limit(p: CirculantParams) -> int:
@@ -71,18 +74,18 @@ def wrap_limit(p: CirculantParams) -> int:
 
 
 def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:
-    """d(0, i) plus a minimizing class and its realized vertex sequence.
+    """d(0, i) plus a minimizing class and its vertex sequence.
 
     Ties break on (length, family order P1 < P2 < P1T < P2T < P3T < P4T,
     then smallest t) so outputs are reproducible.  Takes the least (length,
-    family, t) tuple of the pruned scan and builds and realizes only the
-    winner.
+    family, t) tuple of the pruned scan and builds only the winner, whose
+    endpoint lazy_path checks in O(1) (InconsistentClassError if it misses
+    i); no vertex of the path is computed until it is read.
     """
     check_vertex(p, i)
     value, family, t = min(class_lengths(p, i, wrap_limit(p)))
     pc = build_class(p, i, family, t)
-    seq, _ = realize_path(p, pc, i)
-    return DistanceResult(value, pc, tuple(seq))
+    return DistanceResult(value, pc, lazy_path(p, pc, i))
 
 
 def distance(p: CirculantParams, i: int, j: int) -> DistanceResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 
@@ -22,6 +21,21 @@ class OutOfRangeError(ValueError):
 
 class VertexOutOfRangeError(ValueError):
     """Raised when a vertex id falls outside [0, n)."""
+
+
+class _cached:
+    """functools.cached_property without the lock that Python 3.11's takes
+    on every miss (about 1.4 us): the first read stores the value in the
+    instance __dict__, which later reads find before this descriptor."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,7 @@ class CirculantParams:
         """Largest index that must be inspected explicitly: floor(n/2)."""
         return self.n // 2
 
-    @cached_property
+    @_cached
     def basis(self) -> tuple[int, int, int, int]:
         """Gauss-Lagrange reduced basis (u, w) of {(x, y) : x + s*y = 0 mod n}.
 

@@ -12,9 +12,16 @@ minimum over their lengths.
 The families are defined once, as the rules of FAMILY_RULES.  The scalar
 scan of distance_from_zero and canonical_classes both read that table,
 through class_lengths (lengths only) and build_class (one class).
+
+A class walks from 0 ring steps first, then chords.  RealizedPath is that
+walk as a lazy, read-only vertex sequence: vertex k is O(1) arithmetic, so a
+path of d + 1 vertices takes constant memory at any n.  lazy_path checks in
+O(1) that a class ends at its target and returns it; realize_path lists it.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from math import gcd
@@ -146,24 +153,85 @@ def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]
     ]
 
 
+class RealizedPath(Sequence):
+    """The vertices of the walk of pc from 0 in C_n(1, s), computed on demand.
+
+    The walk takes |x| ring steps, then |y| chords, each in the direction of
+    its sign, so vertex k is k*sign(x) mod n for k <= |x| and
+    x + (k - |x|)*sign(y)*s mod n after.  Holds only (n, s, pc) at any
+    length.  It compares equal to, and hashes like, the tuple of its
+    vertices (hashing builds that tuple once); a slice is a tuple.
+    """
+
+    __slots__ = ("n", "s", "pc")
+
+    def __init__(self, n: int, s: int, pc: PathClass) -> None:
+        self.n, self.s, self.pc = n, s, pc
+
+    def __len__(self) -> int:
+        return abs(self.pc.x) + abs(self.pc.y) + 1
+
+    def __getitem__(self, k):
+        size = len(self)
+        if isinstance(k, slice):
+            return tuple(map(self._vertex, range(*k.indices(size))))
+        k = operator.index(k)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError(f"path index out of range for {size} vertices")
+        return self._vertex(k)
+
+    def _vertex(self, k: int) -> int:
+        x, y = self.pc.x, self.pc.y
+        if k <= abs(x):
+            return (k if x > 0 else -k) % self.n
+        k -= abs(x)
+        return (x + (k if y > 0 else -k) * self.s) % self.n
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self._vertex, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RealizedPath):
+            mine, theirs = self.pc, other.pc
+            if (self.n, self.s, mine.x, mine.y) == (other.n, other.s, theirs.x, theirs.y):
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return RealizedPath, (self.n, self.s, self.pc)
+
+    def __repr__(self) -> str:
+        return f"RealizedPath({self.n}, {self.s}, {self.pc!r})"
+
+
+def lazy_path(p: CirculantParams, pc: PathClass, i: int) -> RealizedPath:
+    """The walk of pc from 0 as a RealizedPath, checked in O(1) to end at i.
+
+    Raises InconsistentClassError unless x + s*y = i (mod n).
+    """
+    end = (pc.x + p.s * pc.y) % p.n
+    if end != i % p.n:
+        raise InconsistentClassError(f"class {pc} ends at {end}, not {i}")
+    return RealizedPath(p.n, p.s, pc)
+
+
 def realize_path(p: CirculantParams, pc: PathClass, i: int) -> tuple[list[int], bool]:
-    """Expand a class into its vertex sequence, outer steps first.
+    """Expand a class into its vertex list, outer steps first.
 
     Returns (sequence, is_genuine_path) where the flag is False when some
     vertex repeats (the class realizes as a walk, not a path).  Raises
-    InconsistentClassError if the expansion does not end at i mod n.
+    InconsistentClassError if the walk does not end at i mod n.  The list
+    is that of lazy_path, built in full: O(d) memory.
     """
     check_vertex(p, i)
-    n = p.n
-    seq = [0]
-    v = 0
-    for count, unit in ((pc.x, 1), (pc.y, p.s)):
-        step = unit if count > 0 else -unit
-        for _ in range(abs(count)):
-            v = (v + step) % n
-            seq.append(v)
-    if v != i % n:
-        raise InconsistentClassError(f"class {pc} ends at {v}, not {i}")
+    seq = list(lazy_path(p, pc, i))
     return seq, len(set(seq)) == len(seq)
 
 

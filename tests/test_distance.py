@@ -1,6 +1,9 @@
 """Distance values, argmin classes, the closest-point rule and the range kernel."""
+import importlib
 import math
+import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +19,10 @@ from circulant import (
     distance,
     distance_from_zero,
     distance_range,
+    realize_path,
 )
-from circulant.distance import _CHUNK, closest_point, wrap_limit
-from circulant.paths import class_lengths, t_range
+from circulant.distance import _CHUNK, DistanceResult, closest_point, wrap_limit
+from circulant.paths import InconsistentClassError, PathClass, class_lengths, t_range
 
 P10 = CirculantParams(10, 4)
 
@@ -241,3 +245,63 @@ def test_closest_point_matches_class_scan_at_huge_n():
         assert limit <= 2, p
         for i in (rng.randrange(n) for _ in range(4)):
             _check_closest_point(p, i, min(class_lengths(p, i, limit))[0])
+
+
+def test_lazy_path_is_the_realized_list_on_small_cells():
+    for n in range(5, 61):
+        for s in range(2, (n - 1) // 2 + 1):
+            p = CirculantParams(n, s)
+            for i in range(n):
+                res = distance_from_zero(p, i)
+                seq, _ = realize_path(p, res.argmin_class, i)
+                path = res.realized
+                assert path == tuple(seq) and len(path) == res.value + 1, (n, s, i)
+                assert [path[k] for k in range(-len(path), 0)] == seq, (n, s, i)
+
+
+def test_distance_result_equality_hash_and_pickle():
+    res = distance_from_zero(P10, 6)
+    again = distance_from_zero(P10, 6)
+    assert res == again and hash(res) == hash(again)
+    # a result holding the plain tuple of its path is the same value
+    plain = DistanceResult(res.value, res.argmin_class, (0, 6))
+    assert plain == res and res == plain and hash(plain) == hash(res)
+    assert pickle.loads(pickle.dumps(res)) == res
+    assert res != distance_from_zero(P10, 2)
+
+
+def test_scan_winner_that_misses_the_target_raises(monkeypatch):
+    module = importlib.import_module("circulant.distance")
+    monkeypatch.setattr(module, "build_class", lambda p, i, family, t: PathClass(1, 0))
+    with pytest.raises(InconsistentClassError):
+        distance_from_zero(P10, 6)
+
+
+def test_path_at_huge_n_takes_constant_memory():
+    # the path holds 166,666,669 vertices; built as a list it took over
+    # 1.5 GB and seconds
+    start = time.perf_counter()
+    res = distance_from_zero(CirculantParams(10**9, 3), 5 * 10**8)
+    assert (res.value, len(res.realized), res.realized[-1]) == (166_666_668, 166_666_669, 5 * 10**8)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lazy_path_follows_the_step_rule_at_huge_n():
+    rng = random.Random(40)
+    for _ in range(100):
+        n = rng.randrange(2**40, 2**62 + 1)
+        s = rng.randrange(2, math.isqrt(n) + 1)
+        p = CirculantParams(n, s)
+        i = rng.randrange(n)
+        res = distance_from_zero(p, i)
+        x, y = res.argmin_class.x, res.argmin_class.y
+        path = res.realized
+        assert len(path) == res.value + 1 == abs(x) + abs(y) + 1, (n, s, i)
+        assert path[0] == 0 and path[-1] == i, (n, s, i)
+        # |x| ring steps first, then |y| chords, each the way of its sign
+        k = rng.randrange(len(path) - 1)
+        ring = min(k, abs(x)) * (1 if x > 0 else -1)
+        chords = max(0, k - abs(x)) * (1 if y > 0 else -1)
+        assert path[k] == (ring + chords * s) % n, (n, s, i, k)
+        assert (path[k + 1] - path[k]) % n in (1, s, n - s, n - 1), (n, s, i, k)
+        _check_closest_point(p, i, res.value)

@@ -1,4 +1,6 @@
 """Canonical class construction, realization, reduction."""
+import pickle
+
 import pytest
 
 from circulant import (
@@ -11,7 +13,14 @@ from circulant import (
     realize_path,
     reduce_walk,
 )
-from circulant.paths import InconsistentClassError, render_path, t_range, translate_endpoints
+from circulant.paths import (
+    InconsistentClassError,
+    RealizedPath,
+    lazy_path,
+    render_path,
+    t_range,
+    translate_endpoints,
+)
 
 P10 = CirculantParams(10, 4)
 
@@ -81,6 +90,40 @@ def test_realize_rejects_wrong_target():
     pc = _by_family(canonical_classes(P10, 6), Family.P1)[0]
     with pytest.raises(InconsistentClassError):
         realize_path(P10, pc, 7)
+
+
+def test_realized_path_indexes_like_its_tuple():
+    # P2 at t = 0 for vertex 6: two counterclockwise ring steps, then two
+    # clockwise chords
+    path = RealizedPath(10, 4, PathClass(-2, 2))
+    expected = (0, 9, 8, 2, 6)
+    assert len(path) == 5
+    assert [path[k] for k in range(5)] == [path[k - 5] for k in range(5)] == list(expected)
+    for k in (5, -6, 10**30):
+        with pytest.raises(IndexError):
+            path[k]
+    assert path[1:4] == (9, 8, 2) and type(path[1:4]) is tuple
+    assert path[::-2] == expected[::-2] and path[7:] == ()
+    assert tuple(path) == expected and list(reversed(path)) == list(expected)[::-1]
+    assert path.index(2) == 3 and 8 in path and 7 not in path
+    assert path == expected and expected == path and hash(path) == hash(expected)
+    assert path != list(expected) and path != expected[:-1] and path != (0, 9, 8, 2, 7)
+    assert RealizedPath(10, 4, PathClass(-2, 2, Family.P2, None)) == path
+    assert RealizedPath(10, 3, PathClass(-2, 2)) != path != RealizedPath(10, 4, PathClass(-2, -2))
+    # without chords s plays no part, and sequences equal as tuples are equal
+    assert RealizedPath(10, 4, PathClass(2, 0)) == RealizedPath(10, 3, PathClass(2, 0))
+    clone = pickle.loads(pickle.dumps(path))
+    assert type(clone) is RealizedPath and clone == path and (clone.n, clone.s) == (10, 4)
+    assert len(repr(RealizedPath(10**18, 10**9 - 3, PathClass(-(10**9), 10**9)))) < 120
+    empty = RealizedPath(10, 4, PathClass(0, 0))
+    assert len(empty) == 1 and empty == (0,) and empty[-1] == 0 and empty[1:] == ()
+
+
+def test_lazy_path_checks_the_endpoint():
+    pc = _by_family(canonical_classes(P10, 6), Family.P1)[0]
+    assert lazy_path(P10, pc, 6) == (0, 1, 2, 6)
+    with pytest.raises(InconsistentClassError, match="ends at 6, not 7"):
+        lazy_path(P10, pc, 7)
 
 
 def test_reduce_cancelling_walk():
