@@ -11,17 +11,18 @@ arithmetic itself.  The lattice routes treat the minimum as an L1
 closest-vector problem in the 2-D lattice of the graph: its reduced basis,
 CirculantParams.basis, leaves 4 candidate points per vertex for every
 chord.  closest_point applies that rule to one vertex with Python integers,
-with no range limit, and proves it; the bulk kernel _lattice_block applies
-it with int64 numpy to a (chord x vertex) block of one n.  distance_range is the kernel's one-chord case;
-diameter.diameters_exact runs it on every chord of an n at once.  The
-tests hold the lattice routes to the scan and to BFS.
+with no range limit, and proves it; the bulk kernel _lattice_passes applies
+it with int64 numpy to (chord x vertex) passes of one n, yielding each pass
+from one reused buffer.  distance_range copies its one chord's passes into
+a window; diameter.diameters_exact folds the passes of every chord of an n
+as they come.  The tests hold the lattice routes to the scan and to BFS.
 
 numpy is imported by the first kernel call, not with this module, so a
 process that only asks scalar queries never loads it.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +45,7 @@ if TYPE_CHECKING:
 # (chord, vertex) pairs per numpy pass of the lattice kernel: keeps its
 # arrays in cache
 _CHUNK = 1 << 13
-# largest n whose kernel intermediates fit in int64 (see _lattice_block)
+# largest n whose kernel intermediates fit in int64 (see _lattice_passes)
 _MAX_N = 1 << 40
 
 
@@ -132,11 +133,17 @@ def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
     return min(candidates, key=lambda c: abs(c[0]) + abs(c[1]))
 
 
-def _lattice_block(ps: Sequence[CirculantParams], lo: int, hi: int) -> np.ndarray:
-    """d(0, i) on each graph of ps, which share one n, for every i in [lo, hi].
+def _lattice_passes(
+    ps: Sequence[CirculantParams], lo: int, hi: int
+) -> Iterator[tuple[list[int], int, np.ndarray]]:
+    """d(0, i) on each graph of ps, which share one n, for i in [lo, hi], by passes.
 
-    The result is a (len(ps) x (hi - lo + 1)) int64 array with row k for
-    ps[k], by the rule of closest_point (proved there) on ps[k].basis.
+    Each pass yields (chords, start, block): chords indexes ps, block is a
+    (len(chords) x vertices) int64 array with row k for ps[chords[k]] and
+    column j for vertex start + j, by the rule of closest_point (proved
+    there) on that graph's basis.  block is a view of a buffer that the
+    next pass overwrites, so the caller reads it before asking for the
+    next pass.  Each chord's passes come in ascending vertex order.
 
     Each pass evaluates the 2 rows x 2 candidates of at most _CHUNK
     (chord, vertex) pairs with int64 numpy, with the pass's chords as a
@@ -163,11 +170,12 @@ def _lattice_block(ps: Sequence[CirculantParams], lo: int, hi: int) -> np.ndarra
         ux, uy, wx, wy = bases[k]
         table.append((-uy, ux, uy, -wx, -wy) if abs(ux) >= abs(uy) else (-uy, uy, ux, -wy, -wx))
     count, m = len(ps), hi - lo + 1
-    out = np.empty((count, m), dtype=np.int64)
     group = max(1, min(count, _CHUNK // m))
     width = min(m, _CHUNK // group)
     rows = np.arange(2, dtype=np.int64)[:, None, None]
-    xh_buf, xl_buf, a_buf, r_buf = (np.empty((2, group, width), dtype=np.int64) for _ in range(4))
+    # one allocation, not four: freeing a block this large raises glibc's
+    # trim threshold past it, so later calls reuse its pages, not fresh ones
+    xh_buf, xl_buf, a_buf, r_buf = np.empty((4, 2, group, width), dtype=np.int64)
     for on_h, kind_start, kind_stop in ((True, 0, heavy_x), (False, heavy_x, count)):
         for first in range(kind_start, kind_stop, group):
             g = min(group, kind_stop - first)
@@ -204,20 +212,24 @@ def _lattice_block(ps: Sequence[CirculantParams], lo: int, hi: int) -> np.ndarra
                 a -= r
                 a += uh
                 np.minimum(xh, a, out=xh)
-                col = start - lo
-                np.minimum(xh[0], xh[1], out=out[first : first + g, col : col + c])
-    if 0 < heavy_x < count:  # back to the callers' chord order
-        out[order] = out.copy()
-    return out
+                np.minimum(xh[0], xh[1], out=xh[0])
+                yield order[first : first + g], start, xh[0]
 
 
 def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     """d(0, i) for every i in [lo, hi] as an int64 array.
 
-    The one-chord case of the lattice kernel _lattice_block.  Accepts
-    n <= 2**40 and raises OutOfRangeError above (distance_from_zero and
-    closest_point have no such limit).
+    The one-chord case of the lattice kernel _lattice_passes, copied pass
+    by pass into one window.  Accepts n <= 2**40 and raises OutOfRangeError
+    above (distance_from_zero and closest_point have no such limit).
     """
     if lo < 0 or hi >= p.n or lo > hi:
         raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
-    return _lattice_block([p], lo, hi)[0]
+    import numpy as np
+
+    out = None
+    for _, start, block in _lattice_passes([p], lo, hi):
+        if out is None:  # only once the kernel has accepted n
+            out = np.empty(hi - lo + 1, dtype=np.int64)
+        out[start - lo : start - lo + block.shape[1]] = block[0]
+    return out

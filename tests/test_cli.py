@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import circulant.diameter as diameter_mod
 from circulant import CirculantParams, DiameterResult, cli, diameter_exact
 from circulant.distance import wrap_limit
 from circulant.formulas import FormulaCase, FormulaResult
@@ -84,17 +83,24 @@ def test_distance_json_no_witness_omits_path(capsys):
     assert "class" not in payload
 
 
-def test_plain_distance_realizes_no_path(capsys, monkeypatch):
-    # the value comes from the closest lattice point; at n = 10^9 a realized
-    # path would hold about 1.7 * 10^8 vertices
-    def no_path(*args):
-        raise AssertionError("realize_path called")
+def test_plain_distance_runs_no_class_scan(capsys, monkeypatch):
+    # the value comes from the closest lattice point; the class scan is
+    # linear in n at s ~ n/2, and only --witness needs its class and path
+    def no_scan(*args):
+        raise AssertionError("class scan called")
 
+    monkeypatch.setattr(cli, "distance", no_scan)
     # circulant.distance is rebound to the function of that name
-    monkeypatch.setattr(importlib.import_module("circulant.distance"), "realize_path", no_path)
+    distance_mod = importlib.import_module("circulant.distance")
+    monkeypatch.setattr(distance_mod, "distance_from_zero", no_scan)
     for n, s, src, dst, value in [(10, 4, 0, 6, 1), (10**9, 3, 0, 5 * 10**8, 166_666_668)]:
         argv = ["distance", "--n", str(n), "--s", str(s), "--from", str(src), "--to", str(dst)]
         assert run_cli(capsys, argv) == (0, f"distance = {value}\n", "")
+    # both patches bite: the witness route and the scan's own entry hit them
+    with pytest.raises(AssertionError, match="class scan called"):
+        cli.main(["distance", "--n", "10", "--s", "4", "--from", "0", "--to", "6", "--witness"])
+    with pytest.raises(AssertionError, match="class scan called"):
+        distance_mod.distance(CirculantParams(10, 4), 0, 6)
 
 
 def test_plain_distance_at_huge_n_matches_multiplier_image(capsys):
@@ -592,9 +598,9 @@ def test_sweep_bytes_are_identical_across_jobs(capsys, monkeypatch, tmp_path, fm
     reference = tmp_path / "reference"
     assert cli.main([*args, "--out", str(reference)]) == 0
     if case == "all-small-blocks":
-        # chord groups split and single chords run in vertex blocks; pool
-        # workers are forked after the patch, so they see it too
-        monkeypatch.setattr(diameter_mod, "_CHUNK", 7)
+        # kernel passes split chord groups and run single chords in vertex
+        # ranges; pool workers are forked after the patch, so they see it too
+        monkeypatch.setattr(importlib.import_module("circulant.distance"), "_CHUNK", 7)
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         assert cli.main([*args, "--jobs", jobs, "--out", str(out)]) == 0

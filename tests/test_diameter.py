@@ -1,9 +1,9 @@
 """Exact diameter scan and eccentricity profile."""
 import importlib
+import tracemalloc
 
 import pytest
 
-import circulant.diameter as diameter_mod
 from circulant import (
     CirculantParams,
     diameter_exact,
@@ -87,30 +87,33 @@ def test_complete_graph_diameter_one():
 
 
 def test_block_combination_is_seamless(monkeypatch):
-    # force tiny scan blocks; the result must not depend on block size
+    # force tiny kernel passes; the result must not depend on pass size
     p = CirculantParams(97, 13)
     want = diameter_exact(p)
-    monkeypatch.setattr(diameter_mod, "_CHUNK", 5)
+    monkeypatch.setattr(distance_mod, "_CHUNK", 5)
     got = diameter_exact(p)
     assert (got.value, got.witnesses) == (want.value, want.witnesses)
 
 
 def test_one_chord_group_equals_diameter_exact():
+    # diameter_exact is this one-chord group, so both are held to BFS
     for n, s in [(5, 2), (10, 4), (97, 13), (150, 61), (100_003, 317), (100_000, 49_999)]:
         p = CirculantParams(n, s)
-        assert diameters_exact([p]) == [diameter_exact(p)]
+        (got,) = diameters_exact([p])
+        want = oracle_diameter(p)
+        assert (got.value, got.witnesses) == (want.value, want.witnesses), (n, s)
 
 
 @pytest.mark.parametrize("block", [1, 5, 47, 200, 1 << 20])
 @pytest.mark.parametrize("kernel_pass", [3, 100, 1 << 13])
 def test_batched_blocks_are_seamless(monkeypatch, block, kernel_pass):
-    # small caps split the chord group (block 200 holds 4 chords of 47
-    # vertices) or run single chords in vertex blocks (block < 47), and the
-    # kernel's own passes likewise; every result must equal diameter_exact
+    # the kernel's passes are the only tiling, and block caps them as the
+    # old scan blocks did: passes of 200 pairs hold 4 chords of 47
+    # vertices, and passes under 47 run single chords in vertex ranges;
+    # every result must equal diameter_exact at full-size passes
     ps = [CirculantParams(97, s) for s in range(2, 49)]
     want = [diameter_exact(p) for p in ps]
-    monkeypatch.setattr(diameter_mod, "_CHUNK", block)
-    monkeypatch.setattr(distance_mod, "_CHUNK", kernel_pass)
+    monkeypatch.setattr(distance_mod, "_CHUNK", min(block, kernel_pass))
     assert diameters_exact(ps) == want
     assert diameters_exact(ps[::-1]) == want[::-1]
 
@@ -119,3 +122,21 @@ def test_batched_entry_takes_one_n():
     assert diameters_exact([]) == []
     with pytest.raises(ValueError):
         diameters_exact([CirculantParams(10, 3), CirculantParams(11, 3)])
+
+
+@pytest.mark.parametrize(
+    "s, value, witnesses", [(3163, 2459, 704), (4_999_999, 2_500_000, 1)]
+)
+def test_diameter_holds_one_kernel_pass(s, value, witnesses):
+    # the kernel's buffers are one pass of at most 2**13 (chord, vertex)
+    # pairs, about 0.75 MiB, at any n; a whole-range block at n = 10**7
+    # would take 16.7 MiB.  numpy's own import traces about 5.9 MiB
+    diameter_exact(CirculantParams(13, 5))
+    tracemalloc.start()
+    try:
+        res = diameter_exact(CirculantParams(10**7, s))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.value, len(res.witnesses)) == (value, witnesses)
+    assert peak < 2 * 2**20
