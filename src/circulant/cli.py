@@ -8,8 +8,8 @@ A sweep's unit of work is one n: its chords get their diameters from one
 batched kernel call (diameters_exact), and the process that computed them
 also formats the rows, so the parent only writes text.  The tasks are made
 as they are consumed and reach pool workers in chunks of several n; the
---jobs clamp, the oracle warning and the oracle's limit come from range
-arithmetic, so memory does not grow with the grid.
+--jobs clamp and the oracle's limit come from range arithmetic, so memory
+does not grow with the grid.
 """
 from __future__ import annotations
 
@@ -30,26 +30,15 @@ from .oracle import check_oracle_n, oracle_diameter
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
 from .paths import render_path, translate_endpoints
 
-# verify-oracle cutoff: BFS is O(n) per cell but grids are O(n^2) cells
-_ORACLE_N_CAP = 2000
 # most cells in one pool chunk, so that the rows a worker holds stay few
 _TASK_CELLS = 1024
 
-_SWEEP_COLUMNS = [
-    "n",
-    "s",
-    "diam_algorithm",
-    "diam_formula",
-    "formula_case",
-    "diam_oracle",
-    "bound_du",
-    "bound_gn",
-    "bound_new",
-    "bound_combined",
-    "agree_formula",
-    "agree_oracle",
-    "witness_min",
-]
+# a sweep row, in order: the csv header, the json keys, _sweep_task's tuples
+_SWEEP_COLUMNS = (
+    "n", "s", "diam_algorithm", "diam_formula", "formula_case", "diam_oracle",
+    "bound_du", "bound_gn", "bound_new", "bound_combined",
+    "agree_formula", "agree_oracle", "witness_min",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,26 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n-min", type=int, required=True)
     w.add_argument("--n-max", type=int, required=True)
     w.add_argument("--s", default="all", help='"all" or a single chord length')
-    w.add_argument(
-        "--verify-oracle",
-        action="store_true",
-        help=f"cross-check with BFS (skipped above n={_ORACLE_N_CAP} unless forced)",
-    )
-    w.add_argument(
-        "--force-oracle",
-        action="store_true",
-        help=f"run BFS verification even above n={_ORACLE_N_CAP}",
-    )
+    w.add_argument("--verify-oracle", action="store_true", help="cross-check every cell with BFS")
     w.add_argument("--out", help="output path (default stdout)")
     w.add_argument("--format", choices=["csv", "json", "ndjson"], default="csv")
-    # a string default goes through type=int at parse time, so a bad
-    # $CIRC_JOBS is a usage error rather than a crash while building
     w.add_argument(
         "--jobs",
         type=int,
-        default=os.environ.get("CIRC_JOBS", "1"),
-        help="worker processes, at most the CPU count and the number of n "
-        "(default $CIRC_JOBS or 1)",
+        default=1,
+        help="worker processes, at most the CPU count and the number of n (default 1)",
     )
     w.set_defaults(func=_cmd_sweep)
     return parser
@@ -197,43 +174,31 @@ def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
     fmt, n, chords, verify = task
     ps = [CirculantParams(n, s) for s in chords]
     rows = []
+    failed = False
     for p, exact in zip(ps, diameters_exact(ps)):
         formula = diameter_formula(p)
-        rep = bounds_report(p)
+        value, case = (formula.value, formula.case.value) if formula else (None, "uncovered")
         bfs = oracle_diameter(p) if verify else None
-        rows.append(
-            {
-                "n": n,
-                "s": p.s,
-                "diam_algorithm": exact.value,
-                "diam_formula": formula.value if formula else None,
-                "formula_case": formula.case.value if formula else "uncovered",
-                "diam_oracle": bfs.value if bfs else None,
-                "bound_du": rep.du,
-                "bound_gn": rep.gobel_neutel,
-                "bound_new": rep.new_bound,
-                "bound_combined": rep.combined,
-                "agree_formula": formula.value == exact.value if formula else None,
-                "agree_oracle": (
-                    (bfs.value, bfs.witnesses) == (exact.value, exact.witnesses) if bfs else None
-                ),
-                "witness_min": exact.witnesses[0],
-            }
+        agree = (
+            value == exact.value if formula else None,
+            (bfs.value, bfs.witnesses) == (exact.value, exact.witnesses) if bfs else None,
         )
-    failed = any(row["agree_formula"] is False or row["agree_oracle"] is False for row in rows)
+        failed = failed or False in agree
+        if fmt == "csv":  # csv writes None as an empty field; the bools need words
+            agree = [None if a is None else str(a).lower() for a in agree]
+        rows.append(
+            (n, p.s, exact.value, value, case, bfs.value if bfs else None,
+             *bounds_report(p), *agree, exact.witnesses[0])
+        )
     if fmt == "csv":
-        # csv writes None as an empty field; only the agree_* bools need words
-        word = {True: "true", False: "false", None: None}
-        for row in rows:
-            row["agree_formula"] = word[row["agree_formula"]]
-            row["agree_oracle"] = word[row["agree_oracle"]]
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(row.values() for row in rows)
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue(), failed
+    dicts = (dict(zip(_SWEEP_COLUMNS, row)) for row in rows)
     if fmt == "json":
-        text = ",\n".join("  " + json.dumps(row, indent=2).replace("\n", "\n  ") for row in rows)
+        text = ",\n".join("  " + json.dumps(d, indent=2).replace("\n", "\n  ") for d in dicts)
         return text, failed
-    return "".join(json.dumps(row) + "\n" for row in rows), failed
+    return "".join(json.dumps(d) + "\n" for d in dicts), failed
 
 
 def _emit_rows(results, fmt: str, out) -> bool:
@@ -279,21 +244,12 @@ def _cmd_sweep(args) -> int:
     # only range arithmetic, never the list of cells
     lo = max(5, args.n_min) if fixed_s is None else max(5, args.n_min, 2 * fixed_s + 1)
     ns = range(lo, args.n_max + 1)
-    above_cap = max(lo, _ORACLE_N_CAP + 1)
-    if args.verify_oracle and above_cap <= args.n_max:
-        if args.force_oracle:
-            check_oracle_n(above_cap, args.n_max)  # fail before any cell, not midway
-        else:
-            print(
-                f"warning: oracle verification skipped for n > {_ORACLE_N_CAP}; "
-                "pass --force-oracle to override",
-                file=sys.stderr,
-            )
+    if args.verify_oracle and ns:
+        check_oracle_n(lo, args.n_max)  # fail before any cell, not midway
 
     def task(n: int) -> tuple[str, int, Sequence[int], bool]:
         chords = range(2, (n - 1) // 2 + 1) if fixed_s is None else (fixed_s,)
-        verify = args.verify_oracle and (n <= _ORACLE_N_CAP or args.force_oracle)
-        return args.format, n, chords, verify
+        return args.format, n, chords, args.verify_oracle
 
     # one task per n, made as it is consumed, so the sweep never holds the grid
     tasks = map(task, ns)

@@ -83,7 +83,7 @@ def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:
     endpoint lazy_path checks in O(1) (InconsistentClassError if it misses
     i); no vertex of the path is computed until it is read.
     """
-    check_vertex(p, i)
+    i = check_vertex(p, i)
     value, family, t = min(class_lengths(p, i, wrap_limit(p)))
     pc = build_class(p, i, family, t)
     return DistanceResult(value, pc, lazy_path(p, pc, i))
@@ -154,8 +154,7 @@ def _lattice_passes(
     n = ps[0].n
     if n > _MAX_N:
         raise OutOfRangeError(
-            f"n={n} exceeds 2**40, the int64 limit of distance_range; "
-            "use distance_from_zero"
+            f"n={n} exceeds 2**40, the int64 limit of the bulk lattice kernel"
         )
     import numpy as np
 

@@ -131,7 +131,12 @@ def decompose(p: CirculantParams) -> DecompositionContext:
 
 
 def check_vertex(p: CirculantParams, i: int) -> int:
-    """Validate a vertex id against [0, n); returns it unchanged."""
+    """Validate a vertex id against [0, n); returns it as a Python int.
+
+    As for n and s, a non-integral value such as 6.5 raises TypeError.
+    """
+    if type(i) is not int:
+        i = _integer("vertex", i)
     if not 0 <= i < p.n:
         raise VertexOutOfRangeError(f"vertex {i} outside [0, {p.n})")
     return i

@@ -146,7 +146,7 @@ def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]
     Contains a shortest path for every i; some entries may realize as
     walks that revisit a vertex, but such entries are never strict minima.
     """
-    check_vertex(p, i)
+    i = check_vertex(p, i)
     return [
         (build_class(p, i, family, t), length)
         for length, family, t in class_lengths(p, i, t_range(p))
@@ -230,7 +230,7 @@ def realize_path(p: CirculantParams, pc: PathClass, i: int) -> tuple[list[int], 
     InconsistentClassError if the walk does not end at i mod n.  The list
     is that of lazy_path, built in full: O(d) memory.
     """
-    check_vertex(p, i)
+    i = check_vertex(p, i)
     seq = list(lazy_path(p, pc, i))
     return seq, len(set(seq)) == len(seq)
 
@@ -246,8 +246,7 @@ def reduce_walk(p: CirculantParams, w: WalkSpec) -> PathClass:
 
 def translate_endpoints(p: CirculantParams, i: int, j: int) -> int:
     """Shift a path between i and j to start at 0: returns (j - i) mod n."""
-    check_vertex(p, i)
-    check_vertex(p, j)
+    i, j = check_vertex(p, i), check_vertex(p, j)
     return (j - i) % p.n
 
 

@@ -378,30 +378,51 @@ def test_sweep_out_file(capsys, tmp_path):
     assert "12,3,3," in content
 
 
-def test_sweep_oracle_cap_skips_with_warning(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_ORACLE_N_CAP", 16)
-    code, out, err = run_cli(
-        capsys, ["sweep", "--n-min", "17", "--n-max", "17", "--s", "5", "--verify-oracle"]
-    )
-    assert code == 0
-    assert "oracle verification skipped" in err
-    row = out.splitlines()[1]
-    fields = row.split(",")
-    assert fields[5] == ""  # diam_oracle withheld above the cap
-    assert fields[11] == ""  # agree_oracle unknown
-
-
-def test_sweep_force_oracle_overrides_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_ORACLE_N_CAP", 16)
-    code, out, err = run_cli(
-        capsys,
-        ["sweep", "--n-min", "17", "--n-max", "17", "--s", "5", "--verify-oracle", "--force-oracle"],
-    )
+def test_sweep_verify_oracle_checks_every_cell_across_n_2000(capsys):
+    # n crosses 2**11, so both oracle_diameter routes run; verification used
+    # to stop above n = 2000 with only a warning on stderr
+    argv = ["sweep", "--n-min", "2045", "--n-max", "2052", "--s", "7", "--verify-oracle"]
+    code, out, err = run_cli(capsys, [*argv, "--format", "json"])
     assert code == 0
     assert err == ""
-    fields = out.splitlines()[1].split(",")
-    assert fields[5] == fields[2]
-    assert fields[11] == "true"
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(range(2045, 2053))
+    assert all(row["diam_oracle"] == row["diam_algorithm"] for row in rows)
+    assert all(row["agree_oracle"] is True for row in rows)
+
+
+def test_sweep_verify_oracle_fills_csv_oracle_fields_above_n_2000(capsys):
+    # above n = 2000 the csv oracle fields used to be left empty unless a
+    # separate flag overrode the skip; now --verify-oracle alone fills them
+    argv = ["sweep", "--n-min", "2047", "--n-max", "2049", "--s", "7", "--verify-oracle"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(fields[0]) for fields in rows] == [2047, 2048, 2049]
+    assert all(fields[5] == fields[2] for fields in rows)  # diam_oracle
+    assert all(fields[11] == "true" for fields in rows)  # agree_oracle
+
+
+def test_sweep_formats_share_one_column_order(capsys):
+    argv = ["sweep", "--n-min", "5", "--n-max", "14", "--verify-oracle", "--format"]
+    columns = list(cli._SWEEP_COLUMNS)
+    code, out, _ = run_cli(capsys, [*argv, "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split(",") == columns
+    assert len(lines) == 1 + sum((n - 1) // 2 - 1 for n in range(5, 15))
+    assert all(len(line.split(",")) == len(columns) for line in lines[1:])
+    code, out, _ = run_cli(capsys, [*argv, "json"])
+    assert code == 0
+    json_rows = json.loads(out)
+    assert len(json_rows) == len(lines) - 1
+    assert all(list(row) == columns for row in json_rows)
+    code, out, _ = run_cli(capsys, [*argv, "ndjson"])
+    assert code == 0
+    ndjson_rows = [json.loads(line) for line in out.splitlines()]
+    assert all(list(row) == columns for row in ndjson_rows)
+    assert ndjson_rows == json_rows
 
 
 def test_sweep_mismatch_exits_2(capsys, monkeypatch):
@@ -428,13 +449,6 @@ def test_sweep_oracle_witness_mismatch_exits_2(capsys, monkeypatch):
     )
     assert code == 2
     assert out.splitlines()[1] == "13,5,2,2,lambda_le_gamma,2,3,3,4,3,true,false,2"
-
-
-def test_jobs_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("CIRC_JOBS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["sweep", "--n-min", "5", "--n-max", "6"])
-    assert args.jobs == 3
 
 
 def test_sweep_jobs_clamped_to_cpus_and_cells(monkeypatch):
@@ -552,19 +566,21 @@ def test_sweep_unwritable_out_exits_1_before_any_cell(capsys, monkeypatch, tmp_p
     assert err.startswith("error: ") and str(target) in err
 
 
-def test_sweep_forced_oracle_above_its_limit_exits_1_before_any_cell(capsys, monkeypatch):
+def test_sweep_verified_above_oracle_limit_exits_1_before_any_cell(capsys, monkeypatch):
     def no_cells(task):
         raise AssertionError(f"cells {task} computed before the oracle limit was checked")
 
     monkeypatch.setattr(cli, "_sweep_task", no_cells)
-    argv = [
-        "sweep", "--n-min", "16777214", "--n-max", "16777217", "--s", "3",
-        "--verify-oracle", "--force-oracle",
-    ]
+    argv = ["sweep", "--n-min", "16777214", "--n-max", "16777217", "--s", "3", "--verify-oracle"]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: n=16777217") and "2**24" in err
+    # the old override of a skip that no longer exists is a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--force-oracle"])
+    assert excinfo.value.code == 1
+    assert "--force-oracle" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["json", "ndjson"])
@@ -722,14 +738,6 @@ def test_sweep_nonpositive_jobs_exits_1(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "6", "--jobs", "0"])
     assert code == 1
     assert "--jobs" in err
-
-
-def test_sweep_bad_jobs_environment_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("CIRC_JOBS", "abc")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["sweep", "--n-min", "5", "--n-max", "6"])
-    assert excinfo.value.code == 1
-    assert "'abc'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -67,6 +67,35 @@ def test_rejects_out_of_range():
         distance(P10, 0, -1)
 
 
+_PC6 = PathClass(0, -1, Family.P3T, 1)  # the shortest class from 0 to 6 in C_10(1, 4)
+
+
+@pytest.mark.parametrize("vertex", [6.5, 6.0, np.float64(6), "6"], ids=repr)
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda v: distance(P10, 0, v),
+        lambda v: distance(P10, v, 0),
+        lambda v: distance_from_zero(P10, v),
+        lambda v: canonical_classes(P10, v),
+        lambda v: realize_path(P10, _PC6, v),
+    ],
+    ids=["distance_to", "distance_from", "distance_from_zero", "canonical_classes", "realize_path"],
+)
+def test_non_integer_vertex_raises_type_error(query, vertex):
+    # a float used to give a float "distance": d(0, 6.5) = 1.5
+    with pytest.raises(TypeError, match="need an integer"):
+        query(vertex)
+
+
+def test_numpy_int_vertex_is_a_python_int():
+    res = distance(P10, np.int64(0), np.int64(6))
+    assert res == distance(P10, 0, 6) == distance_from_zero(P10, np.int64(6))
+    assert type(res.value) is int and res.value == 1
+    assert realize_path(P10, _PC6, np.int64(6)) == ([0, 6], True)
+    assert canonical_classes(P10, np.int64(6)) == canonical_classes(P10, 6)
+
+
 def test_value_is_min_over_all_canonical_classes():
     # the scalar scan prunes large wrap counts; the full list must agree on
     # the value and, under the (length, family, t) tie-break, on the class
