@@ -13,36 +13,19 @@ eccentricity_profile) loads it, so scalar queries, bounds, closed forms and
 the oracle start without paying for it.
 """
 from .bounds import bounds_report
-from .diameter import DiameterResult, diameter_exact, eccentricity_profile
-from .distance import DistanceResult, distance, distance_from_zero, distance_range
-from .formulas import (
-    FormulaCase,
-    FormulaResult,
-    diameter_formula,
-    formula_witness,
-)
+from .diameter import diameter_exact, eccentricity_profile
+from .distance import distance, distance_from_zero, distance_range
+from .formulas import diameter_formula, formula_witness
 from .oracle import bfs_distances, build_adjacency, oracle_diameter
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
-from .paths import (
-    Family,
-    PathClass,
-    WalkSpec,
-    canonical_classes,
-    realize_path,
-    reduce_walk,
-)
+from .paths import Family, WalkSpec, canonical_classes, realize_path, reduce_walk
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CirculantParams",
-    "DiameterResult",
-    "DistanceResult",
     "Family",
-    "FormulaCase",
-    "FormulaResult",
     "OutOfRangeError",
-    "PathClass",
     "VertexOutOfRangeError",
     "WalkSpec",
     "bfs_distances",

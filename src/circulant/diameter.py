@@ -13,24 +13,21 @@ loads with the first kernel call, not with this module.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distance import _lattice_passes, distance_range
 from .params import CirculantParams
 
 
-@dataclass(frozen=True)
-class DiameterResult:
-    """Diameter value, the attaining vertices in [2, n//2], and provenance.
+class DiameterResult(NamedTuple):
+    """The diameter and every vertex in [2, n//2] that attains it, ascending.
 
-    method is "algorithm" (the lattice kernel), "formula" (closed form) or
-    "oracle" (breadth-first search); equal values from any two methods are
-    the cross-checks the test suite leans on.
+    diameter_exact (the lattice kernel) and oracle.oracle_diameter (BFS)
+    both return one, so the two routes cross-check by record equality.
     """
 
     value: int
     witnesses: tuple[int, ...]
-    method: str
 
 
 def diameter_exact(p: CirculantParams) -> DiameterResult:
@@ -62,7 +59,7 @@ def diameters_exact(ps: Sequence[CirculantParams]) -> list[DiameterResult]:
             row, i = divmod(at, block.shape[1])
             if best[row] == values[chords[row]]:
                 witnesses[chords[row]].append(lo + i)
-    return [DiameterResult(v, tuple(w), "algorithm") for v, w in zip(values, witnesses)]
+    return [DiameterResult(v, tuple(w)) for v, w in zip(values, witnesses)]
 
 
 def eccentricity_profile(p: CirculantParams) -> list[tuple[int, int]]:

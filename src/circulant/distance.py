@@ -23,8 +23,7 @@ process that only asks scalar queries never loads it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import bounds_report
 from .params import CirculantParams, OutOfRangeError, check_vertex
@@ -49,8 +48,7 @@ _CHUNK = 1 << 13
 _MAX_N = 1 << 40
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     """A distance value with the class that attains it and its lazy path."""
 
     value: int
@@ -121,8 +119,10 @@ def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
       |x|_1 >= e*g + g, more than the bound above.
 
     Plain Python integers, so it has no range limit.  Ties go to the first
-    candidate.
+    candidate.  Raises TypeError for a non-integral i and
+    VertexOutOfRangeError outside [0, n), as distance_from_zero does.
     """
+    i = check_vertex(p, i)
     ux, uy, wx, wy = p.basis
     b0 = -i * uy // p.n
     candidates = []

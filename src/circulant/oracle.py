@@ -101,7 +101,7 @@ def oracle_diameter(p: CirculantParams) -> DiameterResult:
         dist = bfs_distances(g, 0)
         value = max(dist)
         witnesses = tuple(i for i in range(2, p.half + 1) if dist[i] == value)
-    return DiameterResult(value=value, witnesses=witnesses, method="oracle")
+    return DiameterResult(value, witnesses)
 
 
 def _bitset_eccentricity(g: ExplicitGraph) -> tuple[int, int]:

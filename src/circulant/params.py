@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 class OutOfRangeError(ValueError):
     """Raised when (n, s) violates n >= 5 or 2 <= s <= (n-1)//2, or when n
-    exceeds what a bounded routine supports (distance_range: n <= 2**40;
-    the BFS oracle, bfs_distances: n <= 2**24)."""
+    exceeds what a bounded routine supports (the bulk lattice kernel behind
+    distance_range, diameter_exact and eccentricity_profile: n <= 2**40;
+    the BFS oracle: n <= 2**24)."""
 
 
 class VertexOutOfRangeError(ValueError):

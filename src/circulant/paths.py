@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import IntEnum
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .params import CirculantParams, check_vertex
 
@@ -46,8 +45,7 @@ class Family(IntEnum):
     P4T = 5
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(NamedTuple):
     """One canonical class: the signed ring and chord steps (x, y) of a walk.
 
     Positive counts step clockwise (increasing ids), negative ones
@@ -75,8 +73,7 @@ def _label(count: int, kind: str) -> str:
     return kind + ("+" if count > 0 else "-")
 
 
-@dataclass(frozen=True)
-class WalkSpec:
+class WalkSpec(NamedTuple):
     """Step counts of an arbitrary 0 -> i walk, one field per edge kind."""
 
     plus_outer: int

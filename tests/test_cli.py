@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from circulant import CirculantParams, DiameterResult, cli, diameter_exact
+from circulant import CirculantParams, cli, diameter_exact
+from circulant.diameter import DiameterResult
 from circulant.distance import wrap_limit
 from circulant.formulas import FormulaCase, FormulaResult
 from circulant.paths import class_lengths
@@ -441,7 +442,7 @@ def test_sweep_oracle_witness_mismatch_exits_2(capsys, monkeypatch):
 
     def short_witnesses(p):
         res = real_oracle(p)
-        return DiameterResult(res.value, res.witnesses[1:], res.method)
+        return DiameterResult(res.value, res.witnesses[1:])
 
     monkeypatch.setattr(cli, "oracle_diameter", short_witnesses)
     code, out, _ = run_cli(

@@ -20,7 +20,6 @@ distance_mod = importlib.import_module("circulant.distance")
 def test_figure_graph():
     res = diameter_exact(CirculantParams(10, 4))
     assert res.value == 2
-    assert res.method == "algorithm"
     assert res.witnesses == (2, 3, 5)
 
 

@@ -79,8 +79,16 @@ _PC6 = PathClass(0, -1, Family.P3T, 1)  # the shortest class from 0 to 6 in C_10
         lambda v: distance_from_zero(P10, v),
         lambda v: canonical_classes(P10, v),
         lambda v: realize_path(P10, _PC6, v),
+        lambda v: closest_point(P10, v),
     ],
-    ids=["distance_to", "distance_from", "distance_from_zero", "canonical_classes", "realize_path"],
+    ids=[
+        "distance_to",
+        "distance_from",
+        "distance_from_zero",
+        "canonical_classes",
+        "realize_path",
+        "closest_point",
+    ],
 )
 def test_non_integer_vertex_raises_type_error(query, vertex):
     # a float used to give a float "distance": d(0, 6.5) = 1.5
@@ -94,6 +102,7 @@ def test_numpy_int_vertex_is_a_python_int():
     assert type(res.value) is int and res.value == 1
     assert realize_path(P10, _PC6, np.int64(6)) == ([0, 6], True)
     assert canonical_classes(P10, np.int64(6)) == canonical_classes(P10, 6)
+    assert closest_point(P10, np.int64(6)) == closest_point(P10, 6) == (0, -1)
 
 
 def test_value_is_min_over_all_canonical_classes():

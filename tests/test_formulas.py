@@ -6,14 +6,13 @@ import pytest
 
 from circulant import (
     CirculantParams,
-    FormulaCase,
     diameter_exact,
     diameter_formula,
     distance_from_zero,
     formula_witness,
 )
 from circulant.distance import closest_point
-from circulant.formulas import classify_case
+from circulant.formulas import FormulaCase, classify_case
 from circulant.params import decompose
 
 

@@ -8,6 +8,7 @@ from circulant import (
     VertexOutOfRangeError,
     bfs_distances,
     build_adjacency,
+    diameter_exact,
     oracle,
     oracle_diameter,
 )
@@ -74,8 +75,11 @@ def test_diameter_values():
 
 def test_diameter_result_shape():
     res = oracle_diameter(P10)
-    assert res.method == "oracle"
     assert res.witnesses == (2, 3, 5)
+    # the BFS and kernel records carry no provenance, so they compare equal
+    assert res == diameter_exact(P10) == (2, (2, 3, 5))
+    value, witnesses = diameter_exact(P10)
+    assert (value, witnesses) == (2, (2, 3, 5))
 
 
 def test_all_sources_agree_on_small_graphs():

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from circulant import CirculantParams, OutOfRangeError, bounds_report, build_adjacency, diameter_formula
+from circulant import (
+    CirculantParams,
+    OutOfRangeError,
+    WalkSpec,
+    bounds_report,
+    build_adjacency,
+    diameter_exact,
+    diameter_formula,
+    distance_from_zero,
+)
 from circulant.params import DecompositionContext, decompose
 
 from _strategies import valid_params
@@ -91,8 +100,21 @@ def test_decompose_is_deterministic(p):
         (bounds_report, "combined"),
         (build_adjacency, "offsets"),
         (diameter_formula, "value"),
+        (lambda p: distance_from_zero(p, 6).argmin_class, "x"),
+        (lambda p: WalkSpec(1, 0, 2, 0), "plus_outer"),
+        (lambda p: distance_from_zero(p, 6), "value"),
+        (diameter_exact, "witnesses"),
     ],
-    ids=["DecompositionContext", "BoundsReport", "ExplicitGraph", "FormulaResult"],
+    ids=[
+        "DecompositionContext",
+        "BoundsReport",
+        "ExplicitGraph",
+        "FormulaResult",
+        "PathClass",
+        "WalkSpec",
+        "DistanceResult",
+        "DiameterResult",
+    ],
 )
 def test_per_cell_records_are_immutable(make, field):
     record = make(CirculantParams(13, 5))

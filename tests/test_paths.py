@@ -6,7 +6,6 @@ import pytest
 from circulant import (
     CirculantParams,
     Family,
-    PathClass,
     VertexOutOfRangeError,
     WalkSpec,
     canonical_classes,
@@ -15,6 +14,7 @@ from circulant import (
 )
 from circulant.paths import (
     InconsistentClassError,
+    PathClass,
     RealizedPath,
     lazy_path,
     render_path,
