@@ -2,7 +2,8 @@
 
 d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
 and y chord steps.  The scalar route, distance_from_zero, scans the
-canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit) and
+canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit,
+which each graph computes once as CirculantParams.wrap_limit) and
 reports the minimizing class and its path as a lazy paths.RealizedPath, so
 a result takes constant memory however long the path; it uses Python
 integers, so it has no range limit.  It reads the family table
@@ -82,7 +83,7 @@ def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:
     i); no vertex of the path is computed until it is read.
     """
     i = check_vertex(p, i)
-    value, family, t = min(class_lengths(p, i, wrap_limit(p)))
+    value, family, t = min(class_lengths(p, i, p.wrap_limit))
     pc = build_class(p, i, family, t)
     return DistanceResult(value, pc, lazy_path(p, pc, i))
 
@@ -150,6 +151,14 @@ def _lattice_passes(
     column.  Intermediates stay below 12*n except i*uy, which stays below
     1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n raises
     OutOfRangeError (distance_from_zero has no such limit).
+
+    Every pass takes A = floor(xh/uh) with floor_divide and the heavy
+    residual as xh - A*uh, which equals divmod's because uh > 0.  A
+    one-chord pass (every pass of distance_range and of one graph's
+    diameter, and every pass once hi - lo >= _CHUNK/2) divides by one plain
+    int, which numpy does by multiply and shift, about 4x faster than
+    divmod.  A many-chord pass divides by a column of uh, which has no such
+    path; divmod there made the n <= 300 sweep no faster end to end.
     """
     n = ps[0].n
     if n > _MAX_N:
@@ -200,7 +209,9 @@ def _lattice_passes(
                 else:
                     xl += i
                 # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
-                np.divmod(xh, uh, out=(a, r))
+                np.floor_divide(xh, uh, out=a)
+                np.multiply(a, uh, out=r)
+                np.subtract(xh, r, out=r)
                 a *= ul
                 np.subtract(xl, a, out=a)
                 np.abs(a, out=xh)

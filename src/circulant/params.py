@@ -93,6 +93,16 @@ class CirculantParams:
             wx, wy = -wx, -wy
         return ux, uy, wx, wy
 
+    @_cached
+    def wrap_limit(self) -> int:
+        """distance.wrap_limit of this graph, computed on the first read and
+        cached as basis is.  It saves work only when one CirculantParams
+        answers several scalar queries; a new object computes it again.
+        Imported here because distance imports this module."""
+        from .distance import wrap_limit
+
+        return wrap_limit(self)
+
 
 def _integer(name: str, value) -> int:
     """value as a Python int; TypeError, never truncation, for a float."""

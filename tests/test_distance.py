@@ -13,6 +13,7 @@ from circulant import (
     Family,
     VertexOutOfRangeError,
     bfs_distances,
+    bounds_report,
     build_adjacency,
     canonical_classes,
     diameter_exact,
@@ -208,6 +209,21 @@ def test_range_kernel_int64_domain():
     assert distance_from_zero(p, 5).value == 5
 
 
+def test_range_kernel_matches_closest_point_at_largest_dividends():
+    # n near the kernel's 2**40 limit gives the one-chord division its
+    # largest dividends, including negative ones, at both ends of [0, n)
+    rng = random.Random(39)
+    for _ in range(10):
+        n = rng.randrange(2**39, 2**40 + 1)
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        p = CirculantParams(n, s)
+        start = rng.randrange(64, n - 128)
+        for lo in (0, start, n - 64):
+            got = distance_range(p, lo, lo + 63).tolist()
+            want = [sum(map(abs, closest_point(p, i))) for i in range(lo, lo + 64)]
+            assert got == want, (n, s, lo)
+
+
 @pytest.mark.parametrize(
     "n, s", [(100_000, 33_333), (1_000_000, 499_999), (100_000, 49_999), (40_000, 19_999)]
 )
@@ -306,6 +322,17 @@ def test_distance_result_equality_hash_and_pickle():
     assert plain == res and res == plain and hash(plain) == hash(res)
     assert pickle.loads(pickle.dumps(res)) == res
     assert res != distance_from_zero(P10, 2)
+
+
+def test_graph_computes_its_wrap_limit_once(monkeypatch):
+    module = importlib.import_module("circulant.distance")
+    calls = []
+    monkeypatch.setattr(module, "bounds_report", lambda p: calls.append(p) or bounds_report(p))
+    p = CirculantParams(10_007, 2_000)
+    rng = random.Random(100)
+    for _ in range(100):
+        distance(p, rng.randrange(p.n), rng.randrange(p.n))
+    assert calls == [p]
 
 
 def test_scan_winner_that_misses_the_target_raises(monkeypatch):

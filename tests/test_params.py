@@ -145,10 +145,12 @@ def test_basis_is_reduced_at_huge_n():
 
 
 def test_cached_basis_keeps_params_frozen_equal_and_picklable():
-    p = CirculantParams(1000, 37)
-    basis = p.basis
-    assert p.basis is basis
-    assert p == CirculantParams(1000, 37) and hash(p) == hash(CirculantParams(1000, 37))
-    assert pickle.loads(pickle.dumps(p)) == p
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.n = 1001
+    for name in ("basis", "wrap_limit"):
+        p = CirculantParams(1000, 37)
+        value = getattr(p, name)
+        assert getattr(p, name) is value, name
+        assert p == CirculantParams(1000, 37) and hash(p) == hash(CirculantParams(1000, 37))
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and getattr(again, name) == value, name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.n = 1001
