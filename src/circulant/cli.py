@@ -8,8 +8,8 @@ A sweep's unit of work is one n: its chords get their diameters from one
 batched kernel call (diameters_exact), and the process that computed them
 also formats the rows, so the parent only writes text.  The tasks are made
 as they are consumed and reach pool workers in chunks of several n; the
---jobs clamp and the oracle's limit come from range arithmetic, so memory
-does not grow with the grid.
+--jobs clamp and the oracle's and kernel's limits come from range
+arithmetic, so memory does not grow with the grid.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 from .bounds import bounds_report
 from .diameter import diameter_exact, diameters_exact
-from .distance import closest_point, distance
+from .distance import check_kernel_n, closest_point, distance
 from .formulas import diameter_formula, formula_witness
 from .oracle import check_oracle_n, oracle_diameter
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
@@ -150,8 +150,7 @@ def _cmd_bounds(args) -> int:
     slack = rep.combined - diam
     if args.format == "json":
         payload = {"n": p.n, "s": p.s, **rep._asdict(), "diam_algorithm": diam, "slack": slack}
-        print(json.dumps(payload))
-        return 0
+        return _print_payload(payload, args.format, ())
     print(
         f"du={rep.du} gn={rep.gobel_neutel} new={rep.new_bound} "
         f"combined={rep.combined} diam={diam} slack={slack}"
@@ -240,8 +239,10 @@ def _cmd_sweep(args) -> int:
     # only range arithmetic, never the list of cells
     lo = max(5, args.n_min) if fixed_s is None else max(5, args.n_min, 2 * fixed_s + 1)
     ns = range(lo, args.n_max + 1)
-    if args.verify_oracle and ns:
-        check_oracle_n(lo, args.n_max)  # fail before any cell, not midway
+    # both limits fail before any output, not midway
+    if args.verify_oracle:
+        check_oracle_n(lo, args.n_max)
+    check_kernel_n(lo, args.n_max)
 
     def task(n: int) -> tuple[str, int, Sequence[int], bool]:
         chords = range(2, (n - 1) // 2 + 1) if fixed_s is None else (fixed_s,)

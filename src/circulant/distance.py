@@ -49,6 +49,15 @@ _CHUNK = 1 << 13
 _MAX_N = 1 << 40
 
 
+def check_kernel_n(n: int, last: int | None = None) -> None:
+    """Raise OutOfRangeError if n, or any n up to last, is above 2**40, naming the first."""
+    first = max(n, _MAX_N + 1)
+    if first <= (n if last is None else last):
+        raise OutOfRangeError(
+            f"n={first} exceeds 2**40, the int64 limit of the bulk lattice kernel"
+        )
+
+
 class DistanceResult(NamedTuple):
     """A distance value with the class that attains it and its lazy path."""
 
@@ -161,10 +170,7 @@ def _lattice_passes(
     path; divmod there made the n <= 300 sweep no faster end to end.
     """
     n = ps[0].n
-    if n > _MAX_N:
-        raise OutOfRangeError(
-            f"n={n} exceeds 2**40, the int64 limit of the bulk lattice kernel"
-        )
+    check_kernel_n(n)
     import numpy as np
 
     bases = [p.basis for p in ps]

@@ -9,11 +9,12 @@ computed in that branch alone.  Everything else has no known closed form
 and callers fall back to diameter_exact.
 
 The four parity families also admit constructed witnesses: explicit
-vertices whose distance attains the diameter.  Each construction places
-the target a prescribed number of chord blocks plus a prescribed residue
-away from 0, chosen so no shorter class exists.  All formulas and
-witnesses here are verified against breadth-first search on the full test
-grid (n up to 400, every valid s).
+vertices whose distance attains the diameter, built by formula_witness on
+diameter_formula's regime and subcase.  Each construction places the
+target a prescribed number of chord blocks plus a prescribed residue away
+from 0, chosen so no shorter class exists.  All formulas and witnesses
+here are verified against breadth-first search on the full test grid (n
+up to 400, every valid s).
 """
 from __future__ import annotations
 
@@ -114,11 +115,13 @@ def formula_witness(p: CirculantParams) -> int | None:
 
     Each branch lands the target q*s + r for a quotient q near lam/2 and a
     residue r near s/2, shifted by gamma-dependent offsets so that every
-    canonical class needs the full budget of steps.  None outside the
-    parity regimes (their proofs are not constructive in the same way).
+    canonical class needs the full budget of steps, in diameter_formula's
+    regime and subcase.  None outside the parity regimes (their proofs are
+    not constructive in the same way).
     """
+    res = diameter_formula(p)
+    case, subcase = (res.case, res.subcase) if res else (None, None)
     ctx = decompose(p)
-    case = classify_case(ctx, p)
     lam, gamma, s = ctx.lam, ctx.gamma, p.s
     half_up = (lam + 1) // 2
     if case is FormulaCase.EVEN_ODD:
@@ -143,9 +146,8 @@ def formula_witness(p: CirculantParams) -> int | None:
                 i = (lam // 2) * s + (s + 1) // 2 + gamma // 2
         else:
             i = (lam // 2 - (s - gamma + 1) // 2 + 1) * s + (s - 1) // 2
-        return i % p.n
-    if case is FormulaCase.EVEN_EVEN:
-        if gamma <= 2 * ((s + 1) // 4):
+    elif case is FormulaCase.EVEN_EVEN:
+        if subcase == "small_gamma":
             if lam % 2 == 0:
                 i = (lam // 2 - gamma // 2) * s + s // 2
             elif gamma == 2:
@@ -156,8 +158,7 @@ def formula_witness(p: CirculantParams) -> int | None:
             i = p.n // 2
         else:
             i = ((lam - 1) // 2) * s + gamma // 2
-        return i % p.n
-    if case is FormulaCase.ODD_ODD:
+    elif case is FormulaCase.ODD_ODD:
         if gamma % 2 == 1:  # lam is even in this sub-regime
             if gamma <= 2 * ((s + 3) // 4) - 1:
                 i = (lam // 2 - 1) * s + (s - 1) // 2 + (gamma + 1) // 2
@@ -174,16 +175,16 @@ def formula_witness(p: CirculantParams) -> int | None:
             # large even gamma: back off just enough chord blocks to leave
             # the landing residue (s - 1) / 2 out of reach of shortcuts
             i = (half_up - (s - gamma + 1) // 2) * s + (s - 1) // 2
-        return i % p.n
-    if case is FormulaCase.ODD_EVEN:
-        if gamma == 1 or gamma == s - 1:
+    elif case is FormulaCase.ODD_EVEN:
+        if subcase == "gamma_edge":
             i = (half_up - 1) * s + s // 2
-        elif 3 <= gamma <= 2 * ((s + 3) // 4) - 1:
+        elif subcase == "small_gamma":
             if lam % 2 == 0:
                 i = (lam // 2 - (gamma - 1) // 2) * s + s // 2 + 1
             else:
                 i = ((lam - 1) // 2) * s + (gamma - 1) // 2 + s // 2 + 1
         else:
             i = half_up * s + (gamma - 1) // 2
-        return i % p.n
-    return None
+    else:
+        return None
+    return i % p.n

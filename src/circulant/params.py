@@ -5,11 +5,13 @@ distance |i - j|_n is 1 or s.  All questions about its metric reduce to
 integer arithmetic: the closed forms start from n = lam*s + gamma and
 s = a*gamma + b (decompose), and the lattice routes from
 CirculantParams.basis, the reduced basis of {(x, y) : x + s*y = 0 mod n}.
+Each CirculantParams caches its basis and wrap limit (cached_property).
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -22,21 +24,6 @@ class OutOfRangeError(ValueError):
 
 class VertexOutOfRangeError(ValueError):
     """Raised when a vertex id falls outside [0, n)."""
-
-
-class _cached:
-    """functools.cached_property without the lock that Python 3.11's takes
-    on every miss (about 1.4 us): the first read stores the value in the
-    instance __dict__, which later reads find before this descriptor."""
-
-    def __init__(self, fn) -> None:
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -69,14 +56,14 @@ class CirculantParams:
         """Largest index that must be inspected explicitly: floor(n/2)."""
         return self.n // 2
 
-    @_cached
+    @cached_property
     def basis(self) -> tuple[int, int, int, int]:
         """Gauss-Lagrange reduced basis (u, w) of {(x, y) : x + s*y = 0 mod n}.
 
         (ux, uy, wx, wy) with |u| <= |w|, |u.w| <= |u|^2 / 2, the heavier
         coordinate of u positive and ux*wy - uy*wx = n, from O(log n) steps
-        on {(n, 0), (-s, 1)}.  Cached in the instance __dict__, so the
-        dataclass stays frozen, equal, hashable and picklable.
+        on {(n, 0), (-s, 1)}.  cached_property keeps it in the instance
+        __dict__, so the dataclass stays frozen, equal, hashable, picklable.
         """
         n, s = self.n, self.s
         ux, uy, wx, wy = -s, 1, n, 0
@@ -93,12 +80,12 @@ class CirculantParams:
             wx, wy = -wx, -wy
         return ux, uy, wx, wy
 
-    @_cached
+    @cached_property
     def wrap_limit(self) -> int:
-        """distance.wrap_limit of this graph, computed on the first read and
-        cached as basis is.  It saves work only when one CirculantParams
-        answers several scalar queries; a new object computes it again.
-        Imported here because distance imports this module."""
+        """distance.wrap_limit of this graph, cached on the first read as
+        basis is.  It saves work only when one CirculantParams answers
+        several scalar queries; a new object computes it again.  Imported
+        here because distance imports this module."""
         from .distance import wrap_limit
 
         return wrap_limit(self)

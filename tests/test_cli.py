@@ -32,6 +32,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 # ---------------------------------------------------------------- distance
 
 
@@ -540,6 +547,23 @@ def test_sweep_pool_stops_when_the_reader_closes_early(monkeypatch, tmp_path):
     assert 0 < len(log.read_text()) < 400 // 2
 
 
+def test_sweep_exits_0_when_its_reader_closes_the_pipe():
+    # main's BrokenPipeError handler, in a real process with a real pipe: the
+    # whole grid would take far longer than the timeout
+    argv = [sys.executable, "-m", "circulant.cli", "sweep", "--n-min", "5", "--n-max", "2000"]
+    proc = subprocess.Popen(
+        argv, env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"n,s,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
     # 2.25 million cells; the sweep must not hold them before the first row
     diameter_exact(CirculantParams(13, 5))  # numpy loads outside the trace
@@ -671,11 +695,9 @@ print(json.dumps(steps))
 
 
 def test_scalar_routes_leave_numpy_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _COLD_START],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.splitlines()[-1])
@@ -716,6 +738,20 @@ def test_n_above_kernel_range_exits_1(capsys, command):
     assert err.startswith("error: ") and "2**40" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_above_kernel_range_exits_1_before_any_output(capsys, tmp_path, fmt):
+    # not even the csv header or json's "[" comes out before the error
+    first = 2**40 + 1
+    argv = ["sweep", "--n-min", str(first), "--n-max", str(first + 1), "--s", "3", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: n={first} ") and "2**40" in err
+    target = tmp_path / "rows"
+    assert run_cli(capsys, [*argv, "--out", str(target)])[0] == 1
+    assert not target.exists()
+
+
 def test_oracle_above_its_range_exits_1_at_once(capsys):
     # bfs_distances used to allocate its n-slot list first: a MemoryError
     # traceback, or the host's memory exhausted
@@ -730,9 +766,11 @@ def test_oracle_above_its_range_exits_1_at_once(capsys):
 
 
 def test_sweep_bad_s_string_exits_1(capsys):
-    code, _, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "6", "--s", "many"])
-    assert code == 1
-    assert "--s" in err
+    # not an integer, then integers below the smallest chord
+    for s in ("many", "1", "0"):
+        code, _, err = run_cli(capsys, ["sweep", "--n-min", "5", "--n-max", "6", "--s", s])
+        assert code == 1
+        assert "--s" in err
 
 
 def test_sweep_nonpositive_jobs_exits_1(capsys):
