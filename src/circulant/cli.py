@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from .bounds import bounds_report
 from .diameter import diameter_exact, diameters_exact
 from .distance import check_kernel_n, closest_point, distance
-from .formulas import diameter_formula, formula_witness
+from .formulas import FormulaCase, diameter_formula, formula_witness
 from .oracle import check_oracle_n, oracle_diameter
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
 from .paths import render_path, translate_endpoints
@@ -130,7 +130,7 @@ def _cmd_diameter(args) -> int:
     if args.method == "formula":
         res = diameter_formula(p)
         payload["diameter"] = res.value if res else None
-        payload["case"] = res.case.value if res else "uncovered"
+        payload["case"] = (res.case if res else FormulaCase.UNCOVERED).value
         if res and res.subcase:
             payload["subcase"] = res.subcase
         if args.witness:
@@ -172,7 +172,7 @@ def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
     failed = False
     for p, exact in zip(ps, diameters_exact(ps)):
         formula = diameter_formula(p)
-        value, case = (formula.value, formula.case.value) if formula else (None, "uncovered")
+        value, case = (formula.value, formula.case) if formula else (None, FormulaCase.UNCOVERED)
         bfs = oracle_diameter(p) if verify else None
         agree = (
             value == exact.value if formula else None,
@@ -182,7 +182,7 @@ def _sweep_task(task: tuple[str, int, Sequence[int], bool]) -> tuple[str, bool]:
         if fmt == "csv":  # csv writes None as an empty field; the bools need words
             agree = [None if a is None else str(a).lower() for a in agree]
         rows.append(
-            (n, p.s, exact.value, value, case, bfs.value if bfs else None,
+            (n, p.s, exact.value, value, case.value, bfs.value if bfs else None,
              *bounds_report(p), *agree, exact.witnesses[0])
         )
     if fmt == "csv":

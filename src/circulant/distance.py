@@ -24,10 +24,11 @@ process that only asks scalar queries never loads it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import bounds_report
-from .params import CirculantParams, OutOfRangeError, check_vertex
+from .params import CirculantParams, check_limit, check_vertex
 from .paths import (
     PathClass,
     RealizedPath,
@@ -45,17 +46,8 @@ if TYPE_CHECKING:
 # (chord, vertex) pairs per numpy pass of the lattice kernel: keeps its
 # arrays in cache
 _CHUNK = 1 << 13
-# largest n whose kernel intermediates fit in int64 (see _lattice_passes)
-_MAX_N = 1 << 40
-
-
-def check_kernel_n(n: int, last: int | None = None) -> None:
-    """Raise OutOfRangeError if n, or any n up to last, is above 2**40, naming the first."""
-    first = max(n, _MAX_N + 1)
-    if first <= (n if last is None else last):
-        raise OutOfRangeError(
-            f"n={first} exceeds 2**40, the int64 limit of the bulk lattice kernel"
-        )
+# the kernel's n ceiling: its intermediates fit in int64 (see _lattice_passes)
+check_kernel_n = partial(check_limit, 1 << 40, "2**40, the int64 limit of the bulk lattice kernel")
 
 
 class DistanceResult(NamedTuple):
@@ -236,16 +228,18 @@ def distance_range(p: CirculantParams, lo: int, hi: int) -> np.ndarray:
     """d(0, i) for every i in [lo, hi] as an int64 array.
 
     The one-chord case of the lattice kernel _lattice_passes, copied pass
-    by pass into one window.  Accepts n <= 2**40 and raises OutOfRangeError
-    above (distance_from_zero and closest_point have no such limit).
+    by pass into one window.  lo and hi are checked as distance_from_zero
+    checks its vertex (check_vertex), and lo > hi raises ValueError.
+    Accepts n <= 2**40 and raises OutOfRangeError above, before it
+    allocates (distance_from_zero and closest_point have no such limit).
     """
-    if lo < 0 or hi >= p.n or lo > hi:
-        raise ValueError(f"index range [{lo}, {hi}] outside [0, {p.n})")
+    lo, hi = check_vertex(p, lo), check_vertex(p, hi)
+    if lo > hi:
+        raise ValueError(f"index range [{lo}, {hi}] is empty: need lo <= hi")
+    check_kernel_n(p.n)
     import numpy as np
 
-    out = None
+    out = np.empty(hi - lo + 1, dtype=np.int64)
     for _, start, block in _lattice_passes([p], lo, hi):
-        if out is None:  # only once the kernel has accepted n
-            out = np.empty(hi - lo + 1, dtype=np.int64)
         out[start - lo : start - lo + block.shape[1]] = block[0]
     return out

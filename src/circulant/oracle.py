@@ -18,14 +18,15 @@ Two BFS routes, chosen by n alone:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import NamedTuple
 
 from .diameter import DiameterResult
-from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
+from .params import CirculantParams, check_limit, check_vertex
 
-# largest n the oracle accepts: its distance list and queue take about
-# 36 bytes per vertex, so 2**24 vertices are ~600 MiB
-_MAX_N = 1 << 24
+# the oracle's n ceiling: its distance list and queue take about 36 bytes
+# per vertex, so 2**24 vertices are ~600 MiB
+check_oracle_n = partial(check_limit, 1 << 24, "2**24, the BFS oracle's memory limit")
 
 # largest n for the bitmask BFS.  It costs about D * ceil(n/30) bigint digit
 # operations against about n Python steps for the queue, and D <= ceil(n/4)
@@ -54,22 +55,14 @@ def build_adjacency(p: CirculantParams) -> ExplicitGraph:
     return ExplicitGraph(n=p.n, offsets=(1, p.s, p.n - p.s, p.n - 1))
 
 
-def check_oracle_n(n: int, last: int | None = None) -> None:
-    """Raise OutOfRangeError if n, or any n up to last, is above 2**24.
-
-    2**24 is the oracle's limit; the message names the first n above it.
-    """
-    first = max(n, _MAX_N + 1)
-    if first <= (n if last is None else last):
-        raise OutOfRangeError(f"n={first} exceeds 2**24, the BFS oracle's memory limit")
-
-
 def bfs_distances(g: ExplicitGraph, source: int) -> list[int]:
-    """Hop distance from source to every vertex, by plain queue BFS; n <= 2**24."""
+    """Hop distance from source to every vertex, by plain queue BFS; n <= 2**24.
+
+    source is checked as distance_from_zero checks its vertex (check_vertex).
+    """
     n = g.n
     check_oracle_n(n)
-    if not 0 <= source < n:
-        raise VertexOutOfRangeError(f"vertex {source} outside [0, {n})")
+    source = check_vertex(g, source)
     offsets = g.offsets
     dist = [-1] * n
     dist[source] = 0

@@ -17,9 +17,18 @@ from typing import NamedTuple
 
 class OutOfRangeError(ValueError):
     """Raised when (n, s) violates n >= 5 or 2 <= s <= (n-1)//2, or when n
-    exceeds what a bounded routine supports (the bulk lattice kernel behind
-    distance_range, diameter_exact and eccentricity_profile: n <= 2**40;
-    the BFS oracle: n <= 2**24)."""
+    exceeds what a bounded routine supports (distance.check_kernel_n: the
+    bulk lattice kernel behind distance_range, diameter_exact and
+    eccentricity_profile, n <= 2**40; oracle.check_oracle_n: the BFS
+    oracle, n <= 2**24)."""
+
+
+def check_limit(limit: int, what: str, n: int, last: int | None = None) -> None:
+    """Raise OutOfRangeError, "n=<first> exceeds <what>", if n or any n up
+    to last is above limit; first is the least such n."""
+    first = max(n, limit + 1)
+    if first <= (n if last is None else last):
+        raise OutOfRangeError(f"n={first} exceeds {what}")
 
 
 class VertexOutOfRangeError(ValueError):
@@ -132,6 +141,9 @@ def check_vertex(p: CirculantParams, i: int) -> int:
     """Validate a vertex id against [0, n); returns it as a Python int.
 
     As for n and s, a non-integral value such as 6.5 raises TypeError.
+    Every entry point that takes a vertex id checks it here: the kernel's
+    distance_range and the oracle's bfs_distances as distance_from_zero.
+    Reads only p.n, so an oracle.ExplicitGraph serves as p too.
     """
     if type(i) is not int:
         i = _integer("vertex", i)

@@ -201,9 +201,6 @@ class RealizedPath(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def __reduce__(self):
-        return RealizedPath, (self.n, self.s, self.pc)
-
     def __repr__(self) -> str:
         return f"RealizedPath({self.n}, {self.s}, {self.pc!r})"
 

@@ -176,10 +176,18 @@ def test_range_kernel_partial_window():
 
 
 def test_range_kernel_rejects_bad_window():
-    with pytest.raises(ValueError):
-        distance_range(P10, -1, 4)
-    with pytest.raises(ValueError):
-        distance_range(P10, 0, 10)
+    # each end is checked as distance_from_zero checks its vertex; an end
+    # outside [0, n) is a VertexOutOfRangeError, which is a ValueError
+    for lo, hi in ((-1, 4), (0, 10)):
+        with pytest.raises(VertexOutOfRangeError):
+            distance_range(P10, lo, hi)
+    for lo, hi in ((0, 5.5), (np.float64(2), 5)):
+        with pytest.raises(TypeError, match="need an integer"):
+            distance_range(P10, lo, hi)
+    with pytest.raises(ValueError) as excinfo:
+        distance_range(P10, 3, 2)
+    assert "outside" not in str(excinfo.value)
+    assert np.array_equal(distance_range(P10, np.int64(2), 5), distance_range(P10, 2, 5))
 
 
 @pytest.mark.parametrize(

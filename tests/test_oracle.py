@@ -1,6 +1,7 @@
 """Explicit adjacency and breadth-first search ground truth."""
 import math
 
+import numpy as np
 import pytest
 
 from circulant import (
@@ -56,8 +57,14 @@ def test_bfs_two_step_reach():
 
 
 def test_bfs_rejects_bad_source():
+    # the source is checked as distance_from_zero checks its vertex
+    g = build_adjacency(P10)
     with pytest.raises(VertexOutOfRangeError):
-        bfs_distances(build_adjacency(P10), 10)
+        bfs_distances(g, 10)
+    for source in (6.0, "1"):
+        with pytest.raises(TypeError, match="need an integer"):
+            bfs_distances(g, source)
+    assert bfs_distances(g, np.int64(3)) == bfs_distances(g, 3)
 
 
 def test_bfs_ring_symmetry():
