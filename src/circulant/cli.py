@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from .bounds import bounds_report
 from .diameter import diameter_exact, diameters_exact
 from .distance import check_kernel_n, closest_point, distance
-from .formulas import FormulaCase, diameter_formula, formula_witness
+from .formulas import FormulaCase, diameter_formula
 from .oracle import check_oracle_n, oracle_diameter
 from .params import CirculantParams, OutOfRangeError, VertexOutOfRangeError
 from .paths import render_path, translate_endpoints
@@ -134,7 +134,7 @@ def _cmd_diameter(args) -> int:
         if res and res.subcase:
             payload["subcase"] = res.subcase
         if args.witness:
-            payload["witness"] = formula_witness(p)
+            payload["witness"] = res.witness if res else None
     else:
         res = diameter_exact(p) if args.method == "algorithm" else oracle_diameter(p)
         payload["diameter"] = res.value

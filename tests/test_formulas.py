@@ -6,19 +6,20 @@ import pytest
 
 from circulant import (
     CirculantParams,
+    bounds_report,
     diameter_exact,
     diameter_formula,
     distance_from_zero,
     formula_witness,
 )
+from circulant.diameter import diameters_exact
 from circulant.distance import closest_point
-from circulant.formulas import FormulaCase, classify_case
-from circulant.params import decompose
+from circulant.formulas import FormulaCase
 
 
 def _case(n, s):
-    p = CirculantParams(n, s)
-    return classify_case(decompose(p), p)
+    res = diameter_formula(CirculantParams(n, s))
+    return res.case if res else FormulaCase.UNCOVERED
 
 
 def test_classification_examples():
@@ -84,8 +85,7 @@ def test_formula_and_witness_against_exact_scan(n):
         p = CirculantParams(n, s)
         exact = diameter_exact(p).value
         res = diameter_formula(p)
-        case = classify_case(decompose(p), p)
-        assert (res is None) == (case is FormulaCase.UNCOVERED)
+        case = res.case if res else FormulaCase.UNCOVERED
         if res is not None:
             assert res.value == exact, (n, s, res)
         w = formula_witness(p)
@@ -101,6 +101,21 @@ def test_formula_and_witness_against_exact_scan(n):
             assert distance_from_zero(p, w).value == exact, (n, s, w)
 
 
+# every (case, subcase) pair of a covered cell
+_BRANCHES = {
+    (FormulaCase.GAMMA_ZERO, None),
+    (FormulaCase.EVEN_ODD, None),
+    (FormulaCase.EVEN_EVEN, "small_gamma"),
+    (FormulaCase.EVEN_EVEN, "large_gamma"),
+    (FormulaCase.ODD_ODD, None),
+    (FormulaCase.ODD_EVEN, "gamma_edge"),
+    (FormulaCase.ODD_EVEN, "small_gamma"),
+    (FormulaCase.ODD_EVEN, "large_gamma"),
+    (FormulaCase.LAMBDA_LE_GAMMA, "e1"),
+    (FormulaCase.LAMBDA_LE_GAMMA, "p1_minus_1"),
+}
+
+
 def test_every_branch_fires_somewhere():
     # each (case, subcase) pair should appear in a modest grid
     seen = set()
@@ -109,18 +124,7 @@ def test_every_branch_fires_somewhere():
             res = diameter_formula(CirculantParams(n, s))
             if res is not None:
                 seen.add((res.case, res.subcase))
-    assert seen == {
-        (FormulaCase.GAMMA_ZERO, None),
-        (FormulaCase.EVEN_ODD, None),
-        (FormulaCase.EVEN_EVEN, "small_gamma"),
-        (FormulaCase.EVEN_EVEN, "large_gamma"),
-        (FormulaCase.ODD_ODD, None),
-        (FormulaCase.ODD_EVEN, "gamma_edge"),
-        (FormulaCase.ODD_EVEN, "small_gamma"),
-        (FormulaCase.ODD_EVEN, "large_gamma"),
-        (FormulaCase.LAMBDA_LE_GAMMA, "e1"),
-        (FormulaCase.LAMBDA_LE_GAMMA, "p1_minus_1"),
-    }
+    assert seen == _BRANCHES
 
 
 def test_closed_forms_hold_beyond_the_audit_grid():
@@ -164,3 +168,64 @@ def test_lambda_le_gamma_subcases_hold_at_large_n():
     for subcase, cells in found.items():
         for p, value in cells:
             assert value == diameter_exact(p).value, (subcase, p)
+
+
+def _golomb_welch(k):
+    # Lee spheres of radius k tile Z^2 (Golomb & Welch, SIAM J. Appl. Math.
+    # 18 (1970)); with n = 2k^2 + 2k + 1 and s = 2k + 1 the lattice of
+    # C_n(1, s) is that tiling, so D = k and n meets the lower bound below
+    return CirculantParams(2 * k * k + 2 * k + 1, 2 * k + 1)
+
+
+def _meets_lower_bound(n, d):
+    # the L1 ball of radius d holds 2d^2 + 2d + 1 integer points and each
+    # vertex is one coset of the lattice, so every n <= 2D^2 + 2D + 1
+    return n <= 2 * d * d + 2 * d + 1
+
+
+def test_golomb_welch_cells_have_diameter_k():
+    for k in range(2, 300):
+        assert diameter_exact(_golomb_welch(k)).value == k, k
+    rng = random.Random(1970)
+    for k in (rng.randint(2, 2**30) for _ in range(300)):
+        p = _golomb_welch(k)
+        res = diameter_formula(p)
+        assert res == (k, FormulaCase.LAMBDA_LE_GAMMA, "p1_minus_1", None), (k, res)
+        x, y = closest_point(p, k)
+        assert abs(x) + abs(y) == k, k
+
+
+def test_lower_bound_holds_on_the_grid():
+    tight = 0
+    for n in range(5, 401):
+        ps = [CirculantParams(n, s) for s in range(2, (n - 1) // 2 + 1)]
+        for p, res in zip(ps, diameters_exact(ps)):
+            assert _meets_lower_bound(n, res.value), (p, res.value)
+            # cells whose D is the smallest the bound allows
+            tight += not _meets_lower_bound(n, res.value - 1)
+    assert tight == 1750
+
+
+def test_closed_forms_hold_past_the_kernel_range():
+    # 2,000 covered cells with n uniform in [2^40, 2^62] and s log-uniform,
+    # where diameter_exact raises, plus Golomb-Welch cells, the only source
+    # of p1_minus_1 here: the value sits between the bounds, and each
+    # witness is measured by the closest-point rule
+    rng = random.Random(62)
+    cells = [_golomb_welch(rng.randint(2**20, 2**30)) for _ in range(20)]
+    while len(cells) < 2020:
+        n = rng.randint(2**40, 2**62)
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        p = CirculantParams(n, min(s, (n - 1) // 2))
+        if diameter_formula(p) is not None:
+            cells.append(p)
+    seen = set()
+    for p in cells:
+        res = diameter_formula(p)
+        seen.add((res.case, res.subcase))
+        assert bounds_report(p).combined >= res.value, (p, res)
+        assert _meets_lower_bound(p.n, res.value), (p, res)
+        if res.witness is not None:
+            x, y = closest_point(p, res.witness)
+            assert abs(x) + abs(y) == res.value, (p, res)
+    assert seen == _BRANCHES
