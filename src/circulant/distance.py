@@ -2,21 +2,21 @@
 
 d(0, i) is the least |x| + |y| over all x + s*y = i (mod n): x ring steps
 and y chord steps.  The scalar route, distance_from_zero, scans the
-canonical path classes (2 + 4*T class lengths, T pruned by wrap_limit,
-which each graph computes once as CirculantParams.wrap_limit) and
-reports the minimizing class and its path as a lazy paths.RealizedPath, so
-a result takes constant memory however long the path; it uses Python
-integers, so it has no range limit.  It reads the family table
-paths.FAMILY_RULES, the one canonical_classes reads, and does no family
-arithmetic itself.  The lattice routes treat the minimum as an L1
-closest-vector problem in the 2-D lattice of the graph: its reduced basis,
-CirculantParams.basis, leaves 4 candidate points per vertex for every
+canonical path classes (2 + 4*T class lengths from 1 + 2*T divisions, T
+pruned by wrap_limit, which each graph computes once as
+CirculantParams.wrap_limit) and reports the minimizing class and its path as
+a lazy paths.RealizedPath, so a result takes constant memory however long
+the path; it uses Python integers, so it has no range limit.  It reads
+paths.FAMILY_RULES, one rule per dividend, as canonical_classes does, and
+does no family arithmetic itself.  The lattice routes treat the minimum as
+an L1 closest-vector problem in the 2-D lattice of the graph: its reduced
+basis, CirculantParams.basis, leaves 4 candidate points per vertex for every
 chord.  closest_point applies that rule to one vertex with Python integers,
 with no range limit, and proves it; the bulk kernel _lattice_passes applies
 it with int64 numpy to (chord x vertex) passes of one n, yielding each pass
-from one reused buffer.  distance_range copies its one chord's passes into
-a window; diameter.diameters_exact folds the passes of every chord of an n
-as they come.  The tests hold the lattice routes to the scan and to BFS.
+from one reused buffer.  distance_range copies its one chord's passes into a
+window; diameter.diameters_exact folds the passes of every chord of an n as
+they come.  The tests hold the lattice routes to the scan and to BFS.
 
 numpy is imported by the first kernel call, not with this module, so a
 process that only asks scalar queries never loads it.

@@ -9,9 +9,10 @@ classes, read off from integer divisions of i, t*n + i and t*n - i by s,
 are guaranteed to contain a shortest path; distance computation is then a
 minimum over their lengths.
 
-The families are defined once, as the rules of FAMILY_RULES.  The scalar
-scan of distance_from_zero and canonical_classes both read that table,
-through class_lengths (lengths only) and build_class (one class).
+The families are defined once, in FAMILY_RULES: one rule per dividend, each
+giving a direct and an overshooting family.  The scalar scan of
+distance_from_zero and canonical_classes both read that table, through
+class_lengths (one division per dividend) and build_class (one class).
 
 A class walks from 0 ring steps first, then chords.  RealizedPath is that
 walk as a lazy, read-only vertex sequence: vertex k is O(1) arithmetic, so a
@@ -34,8 +35,8 @@ class InconsistentClassError(ValueError):
 
 
 class Family(IntEnum):
-    """The six canonical families, defined by FAMILY_RULES; numeric order is
-    the argmin tie-break order."""
+    """The six canonical families: family f is rule f // 2 of FAMILY_RULES,
+    overshooting iff f is odd.  Numeric order is the argmin tie-break."""
 
     P1 = 0
     P2 = 1
@@ -95,19 +96,16 @@ def t_range(p: CirculantParams) -> int:
     return p.s // gcd(p.n, p.s)
 
 
-# One rule per family, in Family order: the sign of i in the dividend
-# t*n + sign*i, and whether the class overshoots by one chord.  With
-# (q, r) = divmod(dividend, s) a class takes q chords and r ring steps, both
-# in the sign's direction, or, when it overshoots, q + 1 chords and s - r
-# ring steps back.  P1 and P2 are the forward pair at t = 0; the T variants
-# wrap the ring t >= 1 times, P3T and P4T with backward chords.
+# One rule per dividend t*n + sign*i: the sign of i, then the direct and the
+# overshooting family.  With (q, r) = divmod(dividend, s) the direct class
+# takes q chords and r ring steps, both in the sign's direction, and the
+# overshooting one q + 1 chords and s - r ring steps back.  P1 and P2 are
+# the forward pair at t = 0; the T variants wrap the ring t >= 1 times,
+# P3T and P4T with backward chords.
 FAMILY_RULES = (
-    (Family.P1, 1, False),
-    (Family.P2, 1, True),
-    (Family.P1T, 1, False),
-    (Family.P2T, 1, True),
-    (Family.P3T, -1, False),
-    (Family.P4T, -1, True),
+    (1, Family.P1, Family.P2),
+    (1, Family.P1T, Family.P2T),
+    (-1, Family.P3T, Family.P4T),
 )
 
 
@@ -116,24 +114,25 @@ def class_lengths(
 ) -> Iterator[tuple[int, Family, int]]:
     """(length, family, t) of each canonical class for i with t <= t_limit.
 
-    P1 and P2 come first with t = 0, then P1T..P4T for t = 1..t_limit.  The
-    tuples order by the argmin tie-break of distance_from_zero, so min() of
-    them is its winner; no PathClass is built.
+    P1 and P2 come first with t = 0, then P1T..P4T for t = 1..t_limit; each
+    dividend is divided once, for its direct class and then its overshooting
+    one.  The tuples order by the argmin tie-break of distance_from_zero, so
+    min() of them is its winner; no PathClass is built.
     """
     n, s = p.n, p.s
-    unwrapped, wrapped = FAMILY_RULES[:2], FAMILY_RULES[2:]
+    unwrapped, wrapped = FAMILY_RULES[:1], FAMILY_RULES[1:]
     for t in range(t_limit + 1):
-        for family, sign, overshoot in wrapped if t else unwrapped:
+        for sign, direct, overshoot in wrapped if t else unwrapped:
             q, r = divmod(t * n + sign * i, s)
-            outer, inner = (s - r, q + 1) if overshoot else (r, q)
-            yield outer + inner, family, t
+            yield r + q, direct, t
+            yield s - r + q + 1, overshoot, t
 
 
 def build_class(p: CirculantParams, i: int, family: Family, t: int = 0) -> PathClass:
     """The class of i that family yields at wrap count t (t = 0 for P1, P2)."""
-    _, sign, overshoot = FAMILY_RULES[family]
+    sign = FAMILY_RULES[family // 2][0]
     q, r = divmod(t * p.n + sign * i, p.s)
-    x, y = (r - p.s, q + 1) if overshoot else (r, q)
+    x, y = (r - p.s, q + 1) if family % 2 else (r, q)
     return PathClass(sign * x, sign * y, family, t or None)
 
 

@@ -343,6 +343,19 @@ def test_graph_computes_its_wrap_limit_once(monkeypatch):
     assert calls == [p]
 
 
+def test_scan_divides_each_dividend_once(monkeypatch):
+    # one divmod per dividend t*n + sign*i, 1 + 2*T of them, and one more to
+    # build the winning class
+    module = importlib.import_module("circulant.paths")
+    calls = []
+    monkeypatch.setattr(module, "divmod", lambda a, b: calls.append(a) or divmod(a, b), raising=False)
+    p = CirculantParams(100_001, 50_000)
+    limit = p.wrap_limit
+    res = distance_from_zero(p, 33_334)
+    assert (res.value, str(res.argmin_class)) == (16_667, "(16666a-, 1c+)")
+    assert len(calls) == 2 + 2 * limit
+
+
 def test_scan_winner_that_misses_the_target_raises(monkeypatch):
     module = importlib.import_module("circulant.distance")
     monkeypatch.setattr(module, "build_class", lambda p, i, family, t: PathClass(1, 0))

@@ -1,5 +1,7 @@
 """Canonical class construction, realization, reduction."""
+import math
 import pickle
+import random
 
 import pytest
 
@@ -16,6 +18,8 @@ from circulant.paths import (
     InconsistentClassError,
     PathClass,
     RealizedPath,
+    build_class,
+    class_lengths,
     lazy_path,
     render_path,
     t_range,
@@ -51,6 +55,64 @@ def test_known_class_table_for_vertex_six():
     pc, length = _by_family(entries, Family.P3T, t=1)
     assert (pc.x, pc.y) == (0, -1)
     assert length == 1
+
+
+# The paper's six families, one rule each and written out apart from
+# paths.FAMILY_RULES: the family, the sign of i in the dividend t*n + sign*i,
+# and whether the class overshoots by one chord.  P1 and P2 take t = 0, the
+# others t >= 1.
+_PAPER_RULES = (
+    (Family.P1, 1, False),
+    (Family.P2, 1, True),
+    (Family.P1T, 1, False),
+    (Family.P2T, 1, True),
+    (Family.P3T, -1, False),
+    (Family.P4T, -1, True),
+)
+
+
+def _reference_classes(p, i):
+    """(length, family, t, x, y) of every canonical class of i, in tie-break
+    order, with (x, y) its signed ring and chord steps."""
+    n, s = p.n, p.s
+    out = []
+    for t in range(t_range(p) + 1):
+        for family, sign, overshoot in _PAPER_RULES[2:] if t else _PAPER_RULES[:2]:
+            dividend = t * n + sign * i
+            q, r = dividend // s, dividend % s
+            # direct: r ring steps and q chords, both in the sign's direction;
+            # overshoot: q + 1 chords that way and s - r ring steps back
+            outer, inner = (s - r, q + 1) if overshoot else (r, q)
+            x = -sign * outer if overshoot else sign * outer
+            out.append((outer + inner, family, t, x, sign * inner))
+    return out
+
+
+def _check_class_stream(p, i):
+    expected = _reference_classes(p, i)
+    assert list(class_lengths(p, i, t_range(p))) == [c[:3] for c in expected], (p, i)
+    for length, family, t, x, y in expected:
+        pc = build_class(p, i, family, t)
+        assert pc == (x, y, family, t or None) and pc.length == length, (p, i, pc)
+        assert (pc.x + p.s * pc.y) % p.n == i, (p, i, pc)
+
+
+def test_class_stream_matches_the_paper_rules_on_small_cells():
+    for n in range(5, 81):
+        for s in range(2, (n - 1) // 2 + 1):
+            p = CirculantParams(n, s)
+            for i in range(n):
+                _check_class_stream(p, i)
+
+
+def test_class_stream_matches_the_paper_rules_at_huge_n():
+    # s stays small so that all t_range(p) wrap counts can be listed
+    rng = random.Random(2262)
+    for _ in range(300):
+        n = rng.randrange(2**40, 2**62 + 1)
+        p = CirculantParams(n, round(math.exp(rng.uniform(math.log(2), math.log(256)))))
+        for i in (0, n - 1, *(rng.randrange(n) for _ in range(4))):
+            _check_class_stream(p, i)
 
 
 def test_class_count_when_s_divides_n():
