@@ -69,9 +69,10 @@ def wrap_limit(p: CirculantParams) -> int:
     large relative to s.
     """
     cap = bounds_report(p).combined
-    # floor(((t-1)*n + 1)/s) <= cap  iff  t <= 1 + (s*cap + s - 2)/n
+    # floor(((t-1)*n + 1)/s) <= cap  iff  t <= 1 + (s*cap + s - 2)/n; both
+    # terms of the min are at least 1, as s >= 2
     keep = 1 + (p.s * cap + p.s - 2) // p.n
-    return max(1, min(t_range(p), keep))
+    return min(t_range(p), keep)
 
 
 def distance_from_zero(p: CirculantParams, i: int) -> DistanceResult:

@@ -12,9 +12,10 @@ Each parity branch also constructs a witness: an explicit vertex whose
 distance attains the diameter, placed a prescribed number of chord blocks
 plus a prescribed residue away from 0, chosen so no shorter class exists.
 The gamma = 0 and lam <= gamma proofs are not constructive in the same
-way, so those results carry no witness.  All formulas and witnesses here
-are verified against breadth-first search on the full test grid (n up to
-400, every valid s).
+way, so those results carry no witness.  Tier-1 tests hold the values and
+witnesses to breadth-first search up to n = 400 and to the closest-point
+rule past n = 2^40; CI holds the values to BFS up to n = 1000 and every
+witness to the closest-point rule up to n = 2000.
 """
 from __future__ import annotations
 
@@ -73,6 +74,8 @@ def diameter_formula(p: CirculantParams) -> FormulaResult | None:
         p3 = (b + a * lam + 1) // 2
         return FormulaResult(min(max(p1, p3), max(p0, p2)), case, "e1")
     half_up = (lam + 1) // 2
+    # every regime but even_even; 2*gamma = s + 3 is small only for even gamma
+    small = gamma <= 2 * ((s + 3) // 4)
     subcase = None
     if n % 2 == 0 and s % 2 == 1:
         case = FormulaCase.EVEN_ODD
@@ -81,25 +84,14 @@ def diameter_formula(p: CirculantParams) -> FormulaResult | None:
         # saves more steps
         saved = min((gamma + 1) // 2, (s - gamma + 2) // 2) - 1
         value = half_up + (s - 1) // 2 - saved
-        if gamma % 2 == 1:
-            if gamma == 1:
-                i = ((lam - 1) // 2) * s + (s + 1) // 2
-            elif gamma <= 2 * ((s + 3) // 4) - 1:
-                # small odd gamma; s = 5 leaves no room after the residue
-                # shift and moves one full chord block up instead
-                if s == 5:
-                    i = (half_up + 1) * s
-                else:
-                    i = half_up * s + (gamma + 1) // 2 + (s + 1) // 2
-            else:
-                i = (half_up - (s - gamma + 2) // 2) * s + (s + 1) // 2
-        elif gamma <= 2 * ((s + 3) // 4):
-            if 2 * gamma == s + 3:
-                i = (lam // 2) * s + gamma // 2
-            elif s == 3:
-                i = (lam // 2 + 1) * s
-            else:
-                i = (lam // 2) * s + (s + 1) // 2 + gamma // 2
+        if small and 2 * gamma == s + 3:
+            i = (lam // 2) * s + gamma // 2
+        elif small and (gamma % 2 == 0 or gamma == 1):  # gamma = 1: lam odd
+            i = (lam // 2) * s + (s + 1) // 2 + gamma // 2
+        elif small:
+            i = half_up * s + (gamma + 1) // 2 + (s + 1) // 2
+        elif gamma % 2 == 1:
+            i = (half_up - (s - gamma + 2) // 2) * s + (s + 1) // 2
         else:
             i = (lam // 2 - (s - gamma + 1) // 2 + 1) * s + (s - 1) // 2
     elif n % 2 == 0:
@@ -114,33 +106,27 @@ def diameter_formula(p: CirculantParams) -> FormulaResult | None:
                 i = half_up * s + gamma // 2 + s // 2 + 1
         else:
             subcase, value = "large_gamma", lam // 2 + gamma // 2
-            i = n // 2 if lam % 2 == 0 else ((lam - 1) // 2) * s + gamma // 2
+            i = (lam // 2) * s + gamma // 2
     elif s % 2 == 1:
         case = FormulaCase.ODD_ODD
         saved = min((gamma + 2) // 2, (s - gamma + 3) // 2) - 1
         value = half_up + (s - 1) // 2 - saved
-        if gamma % 2 == 1:  # lam is even in this sub-regime
-            if gamma <= 2 * ((s + 3) // 4) - 1:
-                i = (lam // 2 - 1) * s + (s - 1) // 2 + (gamma + 1) // 2
-            else:
-                i = (lam // 2 - (s - gamma + 2) // 2) * s + (s + 1) // 2
-        elif gamma <= 2 * ((s + 8) // 4) - 2:
-            if 2 * gamma == s + 3:
-                i = half_up * s + (s - 1) // 4
-            elif s == 3:
-                i = half_up * s
-            else:
-                i = ((lam - 1) // 2) * s + (s - 1) // 2 + (gamma + 2) // 2
+        if small and 2 * gamma == s + 3:
+            i = half_up * s + (s - 1) // 4
+        elif small:
+            i = ((lam - 1) // 2) * s + (s - 1) // 2 + (gamma + 2) // 2
+        elif gamma % 2 == 1:  # lam is even
+            i = (lam // 2 - (s - gamma + 2) // 2) * s + (s + 1) // 2
         else:
             # large even gamma: back off just enough chord blocks to leave
             # the landing residue (s - 1) / 2 out of reach of shortcuts
             i = (half_up - (s - gamma + 1) // 2) * s + (s - 1) // 2
     else:
-        case = FormulaCase.ODD_EVEN
+        case = FormulaCase.ODD_EVEN  # gamma is odd
         if gamma == 1 or gamma == s - 1:
             subcase, value = "gamma_edge", half_up + (s - 2) // 2
             i = (half_up - 1) * s + s // 2
-        elif 3 <= gamma <= 2 * ((s + 3) // 4) - 1:
+        elif small:
             subcase, value = "small_gamma", lam // 2 + (s - gamma + 1) // 2
             if lam % 2 == 0:
                 i = (lam // 2 - (gamma - 1) // 2) * s + s // 2 + 1

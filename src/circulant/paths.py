@@ -168,15 +168,8 @@ class RealizedPath(Sequence):
         return abs(self.pc.x) + abs(self.pc.y) + 1
 
     def __getitem__(self, k):
-        size = len(self)
-        if isinstance(k, slice):
-            return tuple(map(self._vertex, range(*k.indices(size))))
-        k = operator.index(k)
-        if k < 0:
-            k += size
-        if not 0 <= k < size:
-            raise IndexError(f"path index out of range for {size} vertices")
-        return self._vertex(k)
+        k = range(len(self))[k]  # range checks bounds, wraps negatives, slices
+        return tuple(map(self._vertex, k)) if isinstance(k, range) else self._vertex(k)
 
     def _vertex(self, k: int) -> int:
         x, y = self.pc.x, self.pc.y

@@ -239,6 +239,19 @@ _GOLDEN = [
         '{"n": 16, "s": 5, "method": "formula", "diameter": 4, "case": "even_odd", '
         '"witness": 8}\n',
     ),
+    # the small-gamma witness rules at s = 5 and s = 3
+    (
+        ["diameter", "--n", "28", "--s", "5", "--method", "formula", "--witness"],
+        "diameter = 4\ncase = even_odd\nwitness = 20\n",
+    ),
+    (
+        ["diameter", "--n", "14", "--s", "3", "--method", "formula", "--witness"],
+        "diameter = 3\ncase = even_odd\nwitness = 9\n",
+    ),
+    (
+        ["diameter", "--n", "11", "--s", "3", "--method", "formula", "--witness"],
+        "diameter = 2\ncase = odd_odd\nwitness = 6\n",
+    ),
     (
         ["distance", "--n", "16", "--s", "5", "--from", "3", "--to", "12", "--witness"],
         "distance = 3\nclass = (1a-, 2c+)\npath = 3 ->a- 2 ->c+ 7 ->c+ 12\n",

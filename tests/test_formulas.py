@@ -219,6 +219,17 @@ def test_closed_forms_hold_past_the_kernel_range():
         p = CirculantParams(n, min(s, (n - 1) // 2))
         if diameter_formula(p) is not None:
             cells.append(p)
+    # constructed n = lam*s + gamma for the rare small-gamma witness rules:
+    # s = 3 and 5 plus log-uniform s, gamma in {1, 2, 3} and (s + 3)/2, and
+    # lam > gamma of both parities; 20 rounds give each rule 20 cells or more
+    for _ in range(20):
+        for s in (3, 5, *(round(2 ** rng.uniform(2, 30)) for _ in range(4))):
+            halves = [(s + 3) // 2] if s % 2 else []
+            for gamma in [g for g in (1, 2, 3, *halves) if g < s]:
+                lo = max(gamma + 1, -(-(2**40 - gamma) // s))
+                for parity in (0, 1):
+                    lam = rng.randint(lo, (2**62 - gamma) // s - 1)
+                    cells.append(CirculantParams((lam + (lam - parity) % 2) * s + gamma, s))
     seen = set()
     for p in cells:
         res = diameter_formula(p)
