@@ -9,14 +9,47 @@ into running maxima as they come, so memory is one pass at any n.  It
 takes every chord of one n together, which spares the per-call numpy cost
 that dominates small graphs; diameter_exact is its one-chord case.  numpy
 loads with the first kernel call, not with this module.
+
+A result keeps its witnesses at 8 bytes each (Witnesses), where a tuple of
+Python ints takes 40: one result can hold tens of thousands.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .distance import _lattice_passes, distance_range
 from .params import CirculantParams
+from .paths import TupleLike
+
+
+class Witnesses(TupleLike):
+    """The vertices of items in an array('q'), standing in for their tuple.
+
+    Read-only; a slice is a tuple, and the repr is the tuple's.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Iterable[int]) -> None:
+        self._items = array("q", items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        got = self._items[k]
+        return tuple(got) if isinstance(k, slice) else got
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._items)
+
+    def _key(self) -> array:
+        return self._items
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class DiameterResult(NamedTuple):
@@ -27,7 +60,7 @@ class DiameterResult(NamedTuple):
     """
 
     value: int
-    witnesses: tuple[int, ...]
+    witnesses: Witnesses
 
 
 def diameter_exact(p: CirculantParams) -> DiameterResult:
@@ -59,7 +92,7 @@ def diameters_exact(ps: Sequence[CirculantParams]) -> list[DiameterResult]:
             row, i = divmod(at, block.shape[1])
             if best[row] == values[chords[row]]:
                 witnesses[chords[row]].append(lo + i)
-    return [DiameterResult(v, tuple(w)) for v, w in zip(values, witnesses)]
+    return [DiameterResult(v, Witnesses(w)) for v, w in zip(values, witnesses)]
 
 
 def eccentricity_profile(p: CirculantParams) -> list[tuple[int, int]]:

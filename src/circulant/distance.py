@@ -13,10 +13,11 @@ an L1 closest-vector problem in the 2-D lattice of the graph: its reduced
 basis, CirculantParams.basis, leaves 4 candidate points per vertex for every
 chord.  closest_point applies that rule to one vertex with Python integers,
 with no range limit, and proves it; the bulk kernel _lattice_passes applies
-it with int64 numpy to (chord x vertex) passes of one n, yielding each pass
-from one reused buffer.  distance_range copies its one chord's passes into a
-window; diameter.diameters_exact folds the passes of every chord of an n as
-they come.  The tests hold the lattice routes to the scan and to BFS.
+it with numpy to (chord x vertex) passes of one n, in int32 below n = 2**20
+and int64 up to 2**40, yielding each pass from one reused buffer.
+distance_range copies its one chord's passes into an int64 window;
+diameter.diameters_exact folds the passes of every chord of an n as they
+come.  The tests hold the lattice routes to the scan and to BFS.
 
 numpy is imported by the first kernel call, not with this module, so a
 process that only asks scalar queries never loads it.
@@ -142,17 +143,19 @@ def _lattice_passes(
     """d(0, i) on each graph of ps, which share one n, for i in [lo, hi], by passes.
 
     Each pass yields (chords, start, block): chords indexes ps, block is a
-    (len(chords) x vertices) int64 array with row k for ps[chords[k]] and
+    (len(chords) x vertices) integer array with row k for ps[chords[k]] and
     column j for vertex start + j, by the rule of closest_point (proved
     there) on that graph's basis.  block is a view of a buffer that the
     next pass overwrites, so the caller reads it before asking for the
     next pass.  Each chord's passes come in ascending vertex order.
 
     Each pass evaluates the 2 rows x 2 candidates of at most _CHUNK
-    (chord, vertex) pairs with int64 numpy, with the pass's chords as a
-    column.  Intermediates stay below 12*n except i*uy, which stays below
-    1.08*n**1.5; both fit in int64 for n <= 2**40, and larger n raises
-    OutOfRangeError (distance_from_zero has no such limit).
+    (chord, vertex) pairs with numpy, with the pass's chords as a column.
+    Intermediates stay below 12*n except i*uy, which stays below
+    1.08*n**1.5 (|uy| <= |u| <= 1.08*sqrt(n) by reduction, i < n).  So the
+    pass computes in int32 for n < 2**20, where 1.08*n**1.5 < 1.08*2**30
+    < 2**31, which halves the bytes it moves, and in int64 up to n = 2**40;
+    larger n raises OutOfRangeError (distance_from_zero has no such limit).
 
     Every pass takes A = floor(xh/uh) with floor_divide and the heavy
     residual as xh - A*uh, which equals divmod's because uh > 0.  A
@@ -165,6 +168,8 @@ def _lattice_passes(
     n = ps[0].n
     check_kernel_n(n)
     import numpy as np
+
+    dtype = np.int32 if n < 1 << 20 else np.int64
 
     bases = [p.basis for p in ps]
     # per chord: -uy, then uh, ul, -wh, -wl in the heavy/light coordinates
@@ -179,23 +184,23 @@ def _lattice_passes(
     count, m = len(ps), hi - lo + 1
     group = max(1, min(count, _CHUNK // m))
     width = min(m, _CHUNK // group)
-    rows = np.arange(2, dtype=np.int64)[:, None, None]
+    rows = np.arange(2, dtype=dtype)[:, None, None]
     # one allocation, not four: freeing a block this large raises glibc's
     # trim threshold past it, so later calls reuse its pages, not fresh ones
-    xh_buf, xl_buf, a_buf, r_buf = np.empty((4, 2, group, width), dtype=np.int64)
+    xh_buf, xl_buf, a_buf, r_buf = np.empty((4, 2, group, width), dtype=dtype)
     for on_h, kind_start, kind_stop in ((True, 0, heavy_x), (False, heavy_x, count)):
         for first in range(kind_start, kind_stop, group):
             g = min(group, kind_stop - first)
             if g == 1:  # plain ints keep numpy on its fast scalar path
                 neg_uy, uh, ul, neg_wh, neg_wl = table[first]
             else:
-                cols = np.array(table[first : first + g], dtype=np.int64)
+                cols = np.array(table[first : first + g], dtype=dtype)
                 neg_uy, uh, ul, neg_wh, neg_wl = cols.T[:, :, None]
             for start in range(lo, hi + 1, width):
                 c = min(width, hi + 1 - start)
                 xh, xl = xh_buf[:, :g, :c], xl_buf[:, :g, :c]
                 a, r = a_buf[:, :g, :c], r_buf[:, :g, :c]
-                i = np.arange(start, start + c, dtype=np.int64)
+                i = np.arange(start, start + c, dtype=dtype)
                 # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
                 b = i * neg_uy
                 b //= n

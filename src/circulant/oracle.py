@@ -21,7 +21,7 @@ from collections import deque
 from functools import partial
 from typing import NamedTuple
 
-from .diameter import DiameterResult
+from .diameter import DiameterResult, Witnesses
 from .params import CirculantParams, check_limit, check_vertex
 
 # the oracle's n ceiling: its distance list and queue take about 36 bytes
@@ -94,7 +94,7 @@ def oracle_diameter(p: CirculantParams) -> DiameterResult:
         dist = bfs_distances(g, 0)
         value = max(dist)
         witnesses = tuple(i for i in range(2, p.half + 1) if dist[i] == value)
-    return DiameterResult(value, witnesses)
+    return DiameterResult(value, Witnesses(witnesses))
 
 
 def _bitset_eccentricity(g: ExplicitGraph) -> tuple[int, int]:

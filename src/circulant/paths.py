@@ -149,14 +149,36 @@ def canonical_classes(p: CirculantParams, i: int) -> list[tuple[PathClass, int]]
     ]
 
 
-class RealizedPath(Sequence):
+class TupleLike(Sequence):
+    """A read-only sequence that stands in for the tuple of its items.
+
+    It compares equal to, and hashes like, that tuple (hashing builds the
+    tuple once), and like a tuple it is unequal to a list.  A subclass
+    gives _key(): two of its instances with equal keys are equal without
+    reading their items.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self) and self._key() == other._key():
+            return True
+        if not isinstance(other, (tuple, TupleLike)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class RealizedPath(TupleLike):
     """The vertices of the walk of pc from 0 in C_n(1, s), computed on demand.
 
     The walk takes |x| ring steps, then |y| chords, each in the direction of
     its sign, so vertex k is k*sign(x) mod n for k <= |x| and
     x + (k - |x|)*sign(y)*s mod n after.  Holds only (n, s, pc) at any
-    length.  It compares equal to, and hashes like, the tuple of its
-    vertices (hashing builds that tuple once); a slice is a tuple.
+    length, and stands in for the tuple of its vertices (TupleLike); a
+    slice is a tuple.
     """
 
     __slots__ = ("n", "s", "pc")
@@ -181,17 +203,8 @@ class RealizedPath(Sequence):
     def __iter__(self) -> Iterator[int]:
         return map(self._vertex, range(len(self)))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RealizedPath):
-            mine, theirs = self.pc, other.pc
-            if (self.n, self.s, mine.x, mine.y) == (other.n, other.s, theirs.x, theirs.y):
-                return True
-        elif not isinstance(other, tuple):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.n, self.s, self.pc.x, self.pc.y
 
     def __repr__(self) -> str:
         return f"RealizedPath({self.n}, {self.s}, {self.pc!r})"

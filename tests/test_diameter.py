@@ -1,5 +1,7 @@
-"""Exact diameter scan and eccentricity profile."""
+"""Exact diameter scan, eccentricity profile and the witness sequence."""
 import importlib
+import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -7,11 +9,15 @@ import pytest
 from circulant import (
     CirculantParams,
     diameter_exact,
+    diameter_formula,
     distance_from_zero,
     eccentricity_profile,
     oracle_diameter,
 )
-from circulant.diameter import diameters_exact
+from circulant.diameter import DiameterResult, Witnesses, diameters_exact
+from circulant.distance import closest_point
+
+from _strategies import DTYPE_BOUNDARY_NS, dtype_boundary_chords
 
 # circulant/__init__ rebinds the attribute circulant.distance to a function
 distance_mod = importlib.import_module("circulant.distance")
@@ -139,3 +145,75 @@ def test_diameter_holds_one_kernel_pass(s, value, witnesses):
         tracemalloc.stop()
     assert (res.value, len(res.witnesses)) == (value, witnesses)
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("n, s", [(10**6, 997), (2**20 - 1, 1024)])
+def test_int32_pass_takes_half_the_bytes(n, s):
+    # below n = 2**20 a pass computes in int32: about 0.35 MiB, where the
+    # int64 pass of the test above takes about 0.69 MiB
+    p = CirculantParams(n, s)
+    diameter_exact(CirculantParams(13, 5))
+    tracemalloc.start()
+    try:
+        res = diameter_exact(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == diameter_formula(p).value
+    assert peak < 2**19
+
+
+def test_witnesses_keep_8_bytes_each():
+    # 704 witnesses, which a tuple of Python ints keeps at 41 B each.  The
+    # warm-up runs an int64 pass too, so numpy's first-use caches are not
+    # counted
+    diameter_exact(CirculantParams(2**20 + 1, 3))
+    tracemalloc.start()
+    try:
+        res = diameter_exact(CirculantParams(10**7, 3163))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.value, len(res.witnesses)) == (2459, 704)
+    assert kept / len(res.witnesses) < 20
+
+
+@pytest.mark.parametrize("n", DTYPE_BOUNDARY_NS)
+def test_diameters_at_the_dtype_boundary(n):
+    # one many-chord call on each side of the int32/int64 switch
+    ps = [CirculantParams(n, s) for s in dtype_boundary_chords(n)]
+    for p, res in zip(ps, diameters_exact(ps)):
+        formula = diameter_formula(p)
+        if formula:
+            assert res.value == formula.value, (n, p.s)
+        assert 0 < len(res.witnesses) and 2 <= res.witnesses[0] and res.witnesses[-1] <= p.half
+        for w in res.witnesses[:3] + res.witnesses[-3:]:
+            assert sum(map(abs, closest_point(p, w))) == res.value, (n, p.s, w)
+
+
+@pytest.mark.parametrize("n, s", [(100, 13), (3000, 31)])
+def test_witnesses_stand_in_for_their_tuple(n, s):
+    # (100, 13) goes through the bitmask BFS, (3000, 31) through the queue
+    res, orac = diameter_exact(CirculantParams(n, s)), oracle_diameter(CirculantParams(n, s))
+    w, t = res.witnesses, tuple(res.witnesses)
+    assert len(t) > 1
+    assert w == t and t == w and w != list(t) and w != t[:-1] and w != t[:-1] + (t[-1] + 1,)
+    assert hash(w) == hash(t) and repr(w) == repr(t) and str(w) == str(t)
+    assert w[1:] == t[1:] and type(w[1:]) is tuple and w[::-1] == t[::-1] and w[-1] == t[-1]
+    for k in (len(t), -len(t) - 1):
+        with pytest.raises(IndexError):
+            w[k]
+    assert Witnesses(t) == w and Witnesses(t[:-1]) != w and Witnesses(t[::-1]) != w
+    assert res == orac and orac == res and hash(res) == hash(orac) and res == (res.value, t)
+    assert repr(res) == f"DiameterResult(value={res.value}, witnesses={t!r})"
+    assert DiameterResult(res.value, t) == res and {res: 1}[DiameterResult(res.value, t)] == 1
+    assert list(w) == list(t) and json.dumps({"witnesses": list(w)}) == json.dumps({"witnesses": list(t)})
+    assert all(type(v) is int for v in w)
+    for record in (res, orac):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol))
+            assert clone == record and type(clone.witnesses) is type(w), protocol
+    with pytest.raises(TypeError):
+        w[0] = 0
+    with pytest.raises(AttributeError):
+        w.extra = 0

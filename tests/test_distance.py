@@ -22,8 +22,16 @@ from circulant import (
     distance_range,
     realize_path,
 )
-from circulant.distance import _CHUNK, DistanceResult, closest_point, wrap_limit
+from circulant.distance import (
+    _CHUNK,
+    DistanceResult,
+    _lattice_passes,
+    closest_point,
+    wrap_limit,
+)
 from circulant.paths import InconsistentClassError, PathClass, class_lengths, t_range
+
+from _strategies import DTYPE_BOUNDARY_NS, dtype_boundary_chords
 
 P10 = CirculantParams(10, 4)
 
@@ -230,6 +238,36 @@ def test_range_kernel_matches_closest_point_at_largest_dividends():
             got = distance_range(p, lo, lo + 63).tolist()
             want = [sum(map(abs, closest_point(p, i))) for i in range(lo, lo + 64)]
             assert got == want, (n, s, lo)
+
+
+@pytest.mark.parametrize("n, dtype", [(2**20 - 1, np.int32), (2**20, np.int64)])
+def test_kernel_dtype_switches_at_2_pow_20(n, dtype):
+    # one-chord and many-chord passes alike; the window stays int64
+    ps = [CirculantParams(n, s) for s in (3, 1024, (n - 1) // 2)]
+    for chords in (ps[:1], ps):
+        blocks = [block.copy() for _, _, block in _lattice_passes(chords, n - 10, n - 1)]
+        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
+        assert sum(len(b) for b in blocks) == len(chords)
+    assert distance_range(ps[0], n - 10, n - 1).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", DTYPE_BOUNDARY_NS)
+def test_range_kernel_matches_closest_point_at_the_dtype_boundary(n):
+    # windows at both ends of [0, n), where i*uy is largest near i = n, and
+    # one seeded; many-chord passes over the top window read a column table
+    rng = random.Random(n)
+    ps = [CirculantParams(n, s) for s in dtype_boundary_chords(n)]
+    start = rng.randrange(64, n - 128)
+    for p in ps:
+        for lo in (0, start, n - 64):
+            got = distance_range(p, lo, lo + 63).tolist()
+            want = [sum(map(abs, closest_point(p, i))) for i in range(lo, lo + 64)]
+            assert got == want, (n, p.s, lo)
+    top = [distance_range(p, n - 64, n - 1).tolist() for p in ps]
+    for chords, lo, block in _lattice_passes(ps, n - 64, n - 1):
+        at = lo - (n - 64)
+        for k, row in zip(chords, block.tolist()):
+            assert row == top[k][at : at + len(row)], (n, ps[k].s, lo)
 
 
 @pytest.mark.parametrize(
