@@ -137,6 +137,15 @@ def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
     return min(candidates, key=lambda c: abs(c[0]) + abs(c[1]))
 
 
+def _shared_row(neg_uy: int, n: int, first: int, last: int) -> int | None:
+    """b0 = floor(-i*uy/n) if every i in [first, last] has the same one, else None.
+
+    b0 is monotone in i, so equal ends mean one b0 for the whole range.
+    """
+    b0 = first * neg_uy // n
+    return b0 if last * neg_uy // n == b0 else None
+
+
 def _lattice_passes(
     ps: Sequence[CirculantParams], lo: int, hi: int
 ) -> Iterator[tuple[list[int], int, np.ndarray]]:
@@ -164,6 +173,19 @@ def _lattice_passes(
     int, which numpy does by multiply and shift, about 4x faster than
     divmod.  A many-chord pass divides by a column of uh, which has no such
     path; divmod there made the n <= 300 sweep no faster end to end.
+
+    b0 = floor(-i*uy/n) steps only |uy| times over [0, n), so most passes
+    of a graph with a short or nearly horizontal u stay between two rows.
+    A one-chord pass whose first and last vertex share b0 (_shared_row:
+    b0 is monotone in i, so every vertex between them shares it too) takes
+    its rows as plain ints.  B*w is then one constant per row, so the
+    coordinate that carries i is a ramp 0, 1, ... plus start plus that
+    constant: one array op in place of seven (the arange of i, i*uy, the
+    floor division, the rows, two products by w and the add of i).  B and
+    B*w are the same integers as on the per-vertex path, and start + B*w
+    stays below 13*n, so the pass's values and dtype bound are unchanged.
+    Passes that cross a row, and every many-chord pass, compute the rows
+    per vertex.
     """
     n = ps[0].n
     check_kernel_n(n)
@@ -185,6 +207,7 @@ def _lattice_passes(
     group = max(1, min(count, _CHUNK // m))
     width = min(m, _CHUNK // group)
     rows = np.arange(2, dtype=dtype)[:, None, None]
+    ramp = np.arange(width, dtype=dtype)  # i - start over a pass
     # one allocation, not four: freeing a block this large raises glibc's
     # trim threshold past it, so later calls reuse its pages, not fresh ones
     xh_buf, xl_buf, a_buf, r_buf = np.empty((4, 2, group, width), dtype=dtype)
@@ -200,18 +223,30 @@ def _lattice_passes(
                 c = min(width, hi + 1 - start)
                 xh, xl = xh_buf[:, :g, :c], xl_buf[:, :g, :c]
                 a, r = a_buf[:, :g, :c], r_buf[:, :g, :c]
-                i = np.arange(start, start + c, dtype=dtype)
+                b0 = None if g > 1 else _shared_row(neg_uy, n, start, start + c - 1)
+                # X = (i, 0) - B*w in the heavy/light coordinates of u, on
                 # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
-                b = i * neg_uy
-                b //= n
-                np.add(b, rows, out=r)
-                # X = (i, 0) - B*w in the heavy/light coordinates of u
-                np.multiply(r, neg_wh, out=xh)
-                np.multiply(r, neg_wl, out=xl)
-                if on_h:
-                    xh += i
-                else:
-                    xl += i
+                if b0 is None:
+                    i = np.arange(start, start + c, dtype=dtype)
+                    b = i * neg_uy
+                    b //= n
+                    np.add(b, rows, out=r)
+                    np.multiply(r, neg_wh, out=xh)
+                    np.multiply(r, neg_wl, out=xl)
+                    if on_h:
+                        xh += i
+                    else:
+                        xl += i
+                else:  # one B per row: X is ramp plus one constant per row
+                    sh, sl = (start, 0) if on_h else (0, start)
+                    bw = [(sh + b * neg_wh, sl + b * neg_wl) for b in (b0, b0 + 1)]
+                    xh0, xl0 = np.array(bw, dtype=dtype).T[:, :, None, None]
+                    if on_h:
+                        np.add(ramp[:c], xh0, out=xh)
+                        xl = xl0
+                    else:  # a full xh keeps floor_divide on its fast path
+                        np.copyto(xh, xh0)
+                        np.add(ramp[:c], xl0, out=xl)
                 # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
                 np.floor_divide(xh, uh, out=a)
                 np.multiply(a, uh, out=r)

@@ -35,3 +35,13 @@ def dtype_boundary_chords(n):
     half, root = (n - 1) // 2, math.isqrt(n)
     seeded = random.Random(n).sample(range(2, half), 2)
     return sorted({half, half - 1, root - 1, root, root + 1, *seeded})
+
+
+def multiplier_image(p):
+    """C_n(1, s') with s' = +-s^-1 mod n in [2, (n-1)/2], for gcd(n, s) = 1.
+
+    i -> s'*i maps C_n(1, s) onto it: the ring steps go to chords and the
+    chords to ring steps, so d_s(0, i) = d_s'(0, s'*i mod n).
+    """
+    u = pow(p.s, -1, p.n)
+    return CirculantParams(p.n, min(u, p.n - u))

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -804,3 +805,47 @@ def test_missing_required_argument_exits_1(capsys):
         cli.main(["diameter", "--n", "12"])
     assert excinfo.value.code == 1
     assert "--s" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- huge-n deadline
+
+HUGE_N = str(2**62 + 1)
+
+
+class _Deadline(BaseException):
+    """Raised by the alarm; a BaseException, so main's handlers pass it on."""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, limit",
+    [
+        (["distance", "--n", "1000000000001", "--s", "500000000000", "--from", "0", "--to", "2"],
+         0, "distance = 2\n", None),
+        (["diameter", "--n", HUGE_N, "--s", "3"], 1, "", "2**40"),
+        (["bounds", "--n", HUGE_N, "--s", "3"], 1, "", "2**40"),
+        (["diameter", "--n", HUGE_N, "--s", "3", "--method", "formula", "--witness"], 0,
+         "diameter = 768614336404564651\ncase = odd_odd\nwitness = 2305843009213693953\n", None),
+        (["diameter", "--n", HUGE_N, "--s", "3", "--method", "oracle"], 1, "", "2**24"),
+    ],
+    ids=["distance-1e12", "diameter-2^62", "bounds-2^62", "formula-2^62", "oracle-2^62"],
+)
+def test_huge_cells_answer_or_raise_within_a_deadline(capsys, argv, code, out, limit):
+    # every command at huge n either answers or names the limit it hit,
+    # within a deadline far above the 0.1 s each of these takes.  Still to
+    # come: diameter and bounds at C_10^12(1, 10), which run the O(n) kernel
+    # below its 2**40 ceiling, and distance --witness at the scan's cliff
+    def expire(signum, frame):
+        raise _Deadline(f"{argv} ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        got = run_cli(capsys, argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got[:2] == (code, out)
+    if limit is None:
+        assert got[2] == ""
+    else:
+        assert got[2].startswith("error: ") and got[2].count("\n") == 1 and limit in got[2]

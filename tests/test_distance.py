@@ -20,18 +20,24 @@ from circulant import (
     distance,
     distance_from_zero,
     distance_range,
+    oracle_diameter,
     realize_path,
 )
+from circulant.diameter import diameters_exact
 from circulant.distance import (
     _CHUNK,
     DistanceResult,
     _lattice_passes,
+    _shared_row,
     closest_point,
     wrap_limit,
 )
 from circulant.paths import InconsistentClassError, PathClass, class_lengths, t_range
 
-from _strategies import DTYPE_BOUNDARY_NS, dtype_boundary_chords
+from _strategies import DTYPE_BOUNDARY_NS, dtype_boundary_chords, multiplier_image
+
+# circulant/__init__ rebinds the attribute circulant.distance to a function
+distance_mod = importlib.import_module("circulant.distance")
 
 P10 = CirculantParams(10, 4)
 
@@ -270,8 +276,116 @@ def test_range_kernel_matches_closest_point_at_the_dtype_boundary(n):
             assert row == top[k][at : at + len(row)], (n, ps[k].s, lo)
 
 
+def _seeded_coprime_cells(count, rng):
+    cells = []
+    while len(cells) < count:
+        n = round(math.exp(rng.uniform(math.log(10**3), math.log(10**6))))
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        if math.gcd(n, s) == 1:
+            cells.append((n, s))
+    return cells
+
+
+SEEDED_COPRIME_CELLS = _seeded_coprime_cells(4, random.Random(997))
+
+
+# (n, s, heavy coordinate of u, |uy|) on both sides of n = 2**20: |uy| = 1, 2
+# and 3 with u heavy in x, and 2 and 3 with u heavy in y (|uy| = 1 would need
+# u = (0, 1)).  b0 = floor(-i*uy/n) steps at most |uy| times over [0, n), so
+# most one-chord passes keep their two rows; C_10^6(1, 271828), with
+# u = (404, 607), steps 607 times
+ROW_STEP_CELLS = [
+    (2**20 - 1, 2, "x", 1), (2**20 - 1, 524_247, "x", 2), (2**20 - 1, 349_485, "x", 3),
+    (2**20 - 1, 524_287, "y", 2), (2**20 - 1, 349_525, "y", 3),
+    (2**20 + 7, 2, "x", 1), (2**20 + 7, 524_251, "x", 2), (2**20 + 7, 349_487, "x", 3),
+    (2**20 + 7, 524_291, "y", 2), (2**20 + 7, 349_527, "y", 3),
+    (10**6, 271_828, "y", 607),
+]
+
+
+def _row_steps(p):
+    """Every i in [1, n) whose b0 = floor(-i*uy/n) differs from that of i - 1."""
+    n, neg_uy = p.n, -p.basis[1]
+    k = abs(neg_uy)
+    near = {j * n // k + e for j in range(k + 1) for e in (-1, 0, 1, 2)}
+    return sorted(t for t in near if 1 <= t < n and t * neg_uy // n != (t - 1) * neg_uy // n)
+
+
+@pytest.mark.parametrize("n, s, heavy, uy", ROW_STEP_CELLS)
+def test_range_kernel_is_exact_at_row_breakpoints(monkeypatch, n, s, heavy, uy):
+    # passes of 5 vertices at every alignment around each step of b0 (passes
+    # that end just before it, start on it or straddle it) and at the top of
+    # [0, n).  Each pass must ask _shared_row about its own first and last
+    # vertex, and take the constant rows exactly when all its vertices share b0
+    p = CirculantParams(n, s)
+    ux, basis_uy = p.basis[:2]
+    assert (abs(basis_uy), "x" if abs(ux) >= abs(basis_uy) else "y") == (uy, heavy)
+    chunk, calls, shared_row = 5, [], distance_mod._shared_row
+
+    def spy(neg_uy, n, first, last):
+        calls.append((first, last, shared_row(neg_uy, n, first, last)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(distance_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(distance_mod, "_shared_row", spy)
+    steps = _row_steps(p)
+    assert len(steps) <= uy
+    if len(steps) > 4:
+        steps = [steps[0], *random.Random(n + s).sample(steps[1:-1], 2), steps[-1]]
+    kept = crossed = 0
+    for t in [*steps, n - 2 * chunk]:
+        for lo in range(max(0, t - 2 * chunk), min(t + 1, n - 3 * chunk + 1)):
+            hi = lo + 3 * chunk - 1
+            calls.clear()
+            got = distance_range(p, lo, hi).tolist()
+            assert got == [sum(map(abs, closest_point(p, i))) for i in range(lo, hi + 1)], (s, lo)
+            assert [c[:2] for c in calls] == [(a, a + chunk - 1) for a in range(lo, hi + 1, chunk)]
+            for first, last, b0 in calls:
+                rows = {i * -basis_uy // n for i in range(first, last + 1)}
+                assert b0 == (min(rows) if len(rows) == 1 else None), (s, first, last)
+                kept += b0 is not None
+                crossed += b0 is None
+    assert kept and bool(crossed) == bool(steps)
+
+
+@pytest.mark.parametrize("chunk", [3, 5, 200])
+def test_small_passes_keep_diameters_exact(monkeypatch, chunk):
+    # passes of 3 and 5 vertices run one chord at a time, so most keep their
+    # rows and some cross one; passes of 200 pairs hold several chords
+    monkeypatch.setattr(distance_mod, "_CHUNK", chunk)
+    for n in (41, 97, 128):
+        ps = [CirculantParams(n, s) for s in range(2, (n - 1) // 2 + 1)]
+        want = [oracle_diameter(p) for p in ps]
+        assert diameters_exact(ps) == want, n
+        assert [diameter_exact(p) for p in ps] == want, n
+
+
+def test_closest_point_is_multiplier_invariant_at_any_n():
+    # seeded coprime cells with n log-uniform up to 2**62: the two graphs'
+    # bases are each other's with the coordinates swapped, so each vertex
+    # pair runs closest_point's heavy-x branch against its heavy-y one
+    rng = random.Random(26)
+    cells = 0
+    while cells < 300:
+        n = round(math.exp(rng.uniform(math.log(5), math.log(2**62))))
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        if math.gcd(n, s) > 1:
+            continue
+        p = CirculantParams(n, s)
+        image = multiplier_image(p)
+        for i in (rng.randrange(n) for _ in range(4)):
+            x, y = closest_point(p, i)
+            xi, yi = closest_point(image, image.s * i % n)
+            assert abs(x) + abs(y) == abs(xi) + abs(yi), (n, s, i)
+        cells += 1
+
+
 @pytest.mark.parametrize(
-    "n, s", [(100_000, 33_333), (1_000_000, 499_999), (100_000, 49_999), (40_000, 19_999)]
+    "n, s",
+    [
+        (100_000, 33_333), (1_000_000, 499_999), (100_000, 49_999), (40_000, 19_999),
+        (1_000_000, 997), *SEEDED_COPRIME_CELLS,
+    ],
 )
 def test_range_kernel_is_multiplier_invariant(n, s):
     # i -> u*i with u = s^-1 mod n maps C_n(1, s) onto C_n(1, u) = C_n(1, n - u)
@@ -279,6 +393,18 @@ def test_range_kernel_is_multiplier_invariant(n, s):
     whole = distance_range(CirculantParams(n, s), 0, n - 1)
     image = distance_range(CirculantParams(n, min(u, n - u)), 0, n - 1)
     assert np.array_equal(whole, image[np.arange(n, dtype=np.int64) * u % n])
+
+
+def test_multiplier_pair_runs_both_row_paths():
+    # C_10^6(1, 997) has u = (997, -1), so b0 never steps and every pass
+    # keeps its rows; its image C_10^6(1, 444333) has u = (-1, 997), so
+    # every full pass crosses a row.  The test above holds the two paths equal
+    n = 10**6
+    assert multiplier_image(CirculantParams(n, 997)).s == 444_333
+    for s, kept in ((997, True), (444_333, False)):
+        neg_uy = -CirculantParams(n, s).basis[1]
+        ends = [(lo, lo + _CHUNK - 1) for lo in range(0, n - _CHUNK + 1, _CHUNK)]
+        assert all((_shared_row(neg_uy, n, *e) is not None) == kept for e in ends), s
 
 
 def test_multiplier_pair_shares_diameter():

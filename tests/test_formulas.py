@@ -16,6 +16,8 @@ from circulant.diameter import diameters_exact
 from circulant.distance import closest_point
 from circulant.formulas import FormulaCase
 
+from _strategies import multiplier_image
+
 
 def _case(n, s):
     res = diameter_formula(CirculantParams(n, s))
@@ -240,3 +242,30 @@ def test_closed_forms_hold_past_the_kernel_range():
             x, y = closest_point(p, res.witness)
             assert abs(x) + abs(y) == res.value, (p, res)
     assert seen == _BRANCHES
+
+
+def test_multiplier_pairs_share_closed_forms_past_the_kernel_range():
+    # C_n(1, s) and its multiplier image C_n(1, s') are isomorphic, so where
+    # closed forms cover both they agree, and v -> s*v maps a witness of s'
+    # to one of s (v -> s'*v the other way).  Drawn until 200 coprime pairs
+    # with n in [2^40, 2^62] and s log-uniform are covered on both sides
+    rng = random.Random(26)
+    pairs = mapped = 0
+    while pairs < 200:
+        n = rng.randint(2**40, 2**62)
+        s = round(math.exp(rng.uniform(math.log(2), math.log((n - 1) // 2))))
+        p = CirculantParams(n, min(s, (n - 1) // 2))
+        if math.gcd(n, p.s) > 1:
+            continue
+        image = multiplier_image(p)
+        res, image_res = diameter_formula(p), diameter_formula(image)
+        if res is None or image_res is None:
+            continue
+        pairs += 1
+        assert res.value == image_res.value, (p, image, res, image_res)
+        for q, witness in ((p, image_res.witness), (image, res.witness)):
+            if witness is not None:
+                x, y = closest_point(q, q.s * witness % n)
+                assert abs(x) + abs(y) == res.value, (q, witness)
+                mapped += 1
+    assert mapped > 100
