@@ -10,13 +10,14 @@ takes every chord of one n together, which spares the per-call numpy cost
 that dominates small graphs; diameter_exact is its one-chord case.  numpy
 loads with the first kernel call, not with this module.
 
-A result keeps its witnesses at 8 bytes each (Witnesses), where a tuple of
-Python ints takes 40: one result can hold tens of thousands.
+A result keeps its witnesses at 4 bytes each below n = 2**32 and 8 above
+(Witnesses), where a tuple of Python ints takes 40: one result can hold
+tens of thousands.
 """
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 from .distance import _lattice_passes, distance_range
@@ -25,15 +26,20 @@ from .paths import TupleLike
 
 
 class Witnesses(TupleLike):
-    """The vertices of items in an array('q'), standing in for their tuple.
+    """The vertices of items in an array, standing in for their tuple.
 
-    Read-only; a slice is a tuple, and the repr is the tuple's.
+    Read-only; a slice is a tuple, and the repr is the tuple's.  The array
+    takes 4 bytes a vertex when every one fits a C int, as every vertex of
+    an n < 2**32 does, and 8 bytes otherwise.
     """
 
     __slots__ = ("_items",)
 
-    def __init__(self, items: Iterable[int]) -> None:
-        self._items = array("q", items)
+    def __init__(self, items: Sequence[int]) -> None:
+        try:
+            self._items = array("i", items)
+        except OverflowError:  # a Sequence, so it reads from the start again
+            self._items = array("q", items)
 
     def __len__(self) -> int:
         return len(self._items)

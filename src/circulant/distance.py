@@ -122,6 +122,13 @@ def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
     - Every other row has offset at least e + 1, so all its points have
       |x|_1 >= e*g + g, more than the bound above.
 
+    Row dominance, in integers: with rem = -i*uy - b0*n (so beta - b0 =
+    rem/n) and P = |u|_1*|u|_inf, row b0 + 1 cannot beat row b0 when its
+    bound (1 - rem/n)*g reaches row b0's (rem/n)*g + |u|_1/2, that is
+    (times 2*|u|_inf) when 2*(n - 2*rem) >= P.  Likewise row b0 cannot beat
+    row b0 + 1 when 2*(2*rem - n) >= P.  The two never hold together
+    (their sum would read 0 >= 2*P), so at least one row is left.
+
     Plain Python integers, so it has no range limit.  Ties go to the first
     candidate.  Raises TypeError for a non-integral i and
     VertexOutOfRangeError outside [0, n), as distance_from_zero does.
@@ -137,13 +144,27 @@ def closest_point(p: CirculantParams, i: int) -> tuple[int, int]:
     return min(candidates, key=lambda c: abs(c[0]) + abs(c[1]))
 
 
-def _shared_row(neg_uy: int, n: int, first: int, last: int) -> int | None:
-    """b0 = floor(-i*uy/n) if every i in [first, last] has the same one, else None.
+def _shared_row(
+    neg_uy: int, uh: int, ul: int, n: int, first: int, last: int
+) -> tuple[int, ...] | None:
+    """The rows of closest_point that can hold d(0, i) for all i in [first, last].
 
-    b0 is monotone in i, so equal ends mean one b0 for the whole range.
+    None unless every i in the range has the same b0 = floor(-i*uy/n) (b0
+    is monotone in i, so equal ends suffice).  Otherwise (b0,), (b0 + 1,)
+    or (b0, b0 + 1), by closest_point's row-dominance rule with
+    P = |u|_1*|u|_inf = (uh + |ul|)*uh; its rem is linear in i, so a row
+    dead at both ends is dead on the whole range.
     """
     b0 = first * neg_uy // n
-    return b0 if last * neg_uy // n == b0 else None
+    if last * neg_uy // n != b0:
+        return None
+    reach = (uh + abs(ul)) * uh
+    low, high = sorted(2 * (i * neg_uy - b0 * n) - n for i in (first, last))  # 2*rem - n
+    if -2 * high >= reach:
+        return (b0,)
+    if 2 * low >= reach:
+        return (b0 + 1,)
+    return (b0, b0 + 1)
 
 
 def _lattice_passes(
@@ -158,7 +179,7 @@ def _lattice_passes(
     next pass overwrites, so the caller reads it before asking for the
     next pass.  Each chord's passes come in ascending vertex order.
 
-    Each pass evaluates the 2 rows x 2 candidates of at most _CHUNK
+    Each pass evaluates at most 2 rows x 2 candidates of at most _CHUNK
     (chord, vertex) pairs with numpy, with the pass's chords as a column.
     Intermediates stay below 12*n except i*uy, which stays below
     1.08*n**1.5 (|uy| <= |u| <= 1.08*sqrt(n) by reduction, i < n).  So the
@@ -176,16 +197,24 @@ def _lattice_passes(
 
     b0 = floor(-i*uy/n) steps only |uy| times over [0, n), so most passes
     of a graph with a short or nearly horizontal u stay between two rows.
-    A one-chord pass whose first and last vertex share b0 (_shared_row:
-    b0 is monotone in i, so every vertex between them shares it too) takes
-    its rows as plain ints.  B*w is then one constant per row, so the
-    coordinate that carries i is a ramp 0, 1, ... plus start plus that
-    constant: one array op in place of seven (the arange of i, i*uy, the
-    floor division, the rows, two products by w and the add of i).  B and
-    B*w are the same integers as on the per-vertex path, and start + B*w
-    stays below 13*n, so the pass's values and dtype bound are unchanged.
-    Passes that cross a row, and every many-chord pass, compute the rows
-    per vertex.
+    A one-chord pass whose first and last vertex share b0 (b0 is monotone
+    in i, so every vertex between them shares it too) takes its rows as
+    plain ints, and only those that _shared_row leaves live.  B*w is then
+    one constant per row, so the coordinate that carries i is a ramp 0, 1,
+    ... plus start plus that constant: one array op in place of seven (the
+    arange of i, i*uy, the floor division, the rows, two products by w and
+    the add of i).  When u is heavy in y, that coordinate is the light one
+    and the heavy one, B*(-wh), is constant; so are A and the heavy
+    residual, and a row takes 8 array ops in place of 13.
+
+    Such a pass runs one row when closest_point's row-dominance rule rules
+    the other out at both of its ends (the rule is linear in i, so it then
+    holds between them), and then also skips the minimum of the two rows.
+    Every s with s*s < n has u = (s, -1), so b0 = 0, and its passes that
+    end at or below n/2 - s*(s + 1)/4 run row 0 alone.  The constants are
+    the per-vertex path's integers at i = start, so the pass's values and
+    dtype bound are unchanged.  Passes that cross a row, and every
+    many-chord pass, compute both rows per vertex.
     """
     n = ps[0].n
     check_kernel_n(n)
@@ -221,38 +250,42 @@ def _lattice_passes(
                 neg_uy, uh, ul, neg_wh, neg_wl = cols.T[:, :, None]
             for start in range(lo, hi + 1, width):
                 c = min(width, hi + 1 - start)
-                xh, xl = xh_buf[:, :g, :c], xl_buf[:, :g, :c]
-                a, r = a_buf[:, :g, :c], r_buf[:, :g, :c]
-                b0 = None if g > 1 else _shared_row(neg_uy, n, start, start + c - 1)
-                # X = (i, 0) - B*w in the heavy/light coordinates of u, on
-                # rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
-                if b0 is None:
-                    i = np.arange(start, start + c, dtype=dtype)
-                    b = i * neg_uy
-                    b //= n
-                    np.add(b, rows, out=r)
-                    np.multiply(r, neg_wh, out=xh)
-                    np.multiply(r, neg_wl, out=xl)
-                    if on_h:
-                        xh += i
-                    else:
-                        xl += i
-                else:  # one B per row: X is ramp plus one constant per row
-                    sh, sl = (start, 0) if on_h else (0, start)
-                    bw = [(sh + b * neg_wh, sl + b * neg_wl) for b in (b0, b0 + 1)]
-                    xh0, xl0 = np.array(bw, dtype=dtype).T[:, :, None, None]
-                    if on_h:
+                live = None if g > 1 else _shared_row(neg_uy, uh, ul, n, start, start + c - 1)
+                k = 2 if live is None else len(live)
+                xh, xl = xh_buf[:k, :g, :c], xl_buf[:k, :g, :c]
+                a, r = a_buf[:k, :g, :c], r_buf[:k, :g, :c]
+                if live is None or on_h:
+                    # X = (i, 0) - B*w in the heavy/light coordinates of u,
+                    # on rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
+                    if live is None:
+                        i = np.arange(start, start + c, dtype=dtype)
+                        b = i * neg_uy
+                        b //= n
+                        np.add(b, rows, out=r)
+                        np.multiply(r, neg_wh, out=xh)
+                        np.multiply(r, neg_wl, out=xl)
+                        if on_h:
+                            xh += i
+                        else:
+                            xl += i
+                    else:  # one B per live row: xh is ramp plus a constant
+                        bw = [(start + b * neg_wh, b * neg_wl) for b in live]
+                        xh0, xl = np.array(bw, dtype=dtype).T[:, :, None, None]
                         np.add(ramp[:c], xh0, out=xh)
-                        xl = xl0
-                    else:  # a full xh keeps floor_divide on its fast path
-                        np.copyto(xh, xh0)
-                        np.add(ramp[:c], xl0, out=xl)
-                # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
-                np.floor_divide(xh, uh, out=a)
-                np.multiply(a, uh, out=r)
-                np.subtract(xh, r, out=r)
-                a *= ul
-                np.subtract(xl, a, out=a)
+                    # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
+                    np.floor_divide(xh, uh, out=a)
+                    np.multiply(a, uh, out=r)
+                    np.subtract(xh, r, out=r)
+                    a *= ul
+                    np.subtract(xl, a, out=a)
+                else:  # u heavy in y, one B per live row: xh = B*(-wh) is
+                    # constant, so A and r are ints and xl - A*ul is a ramp
+                    consts = []
+                    for b in live:
+                        q, rest = divmod(b * neg_wh, uh)
+                        consts.append((start + b * neg_wl - q * ul, rest))
+                    light, r = np.array(consts, dtype=dtype).T[:, :, None, None]
+                    np.add(ramp[:c], light, out=a)
                 np.abs(a, out=xh)
                 xh += r
                 # A + 1 leaves heavy residual uh - r, light shifted by ul
@@ -261,7 +294,8 @@ def _lattice_passes(
                 a -= r
                 a += uh
                 np.minimum(xh, a, out=xh)
-                np.minimum(xh[0], xh[1], out=xh[0])
+                if k == 2:
+                    np.minimum(xh[0], xh[1], out=xh[0])
                 yield order[first : first + g], start, xh[0]
 
 

@@ -185,6 +185,18 @@ def test_witnesses_keep_8_bytes_each():
     assert kept / len(res.witnesses) < 20
 
 
+def test_witnesses_take_4_bytes_below_2_pow_32():
+    # every vertex of an n < 2**32 fits a C int; one that does not keeps
+    # all of its result's vertices at 8 bytes, exactly
+    res = diameter_exact(CirculantParams(10**7, 3163))
+    assert res.witnesses._items.itemsize == 4
+    for items, size in (((2, 2**31 - 1), 4), ((2, 2**31, 2**40 - 1), 8), ((3, -(2**31) - 1), 8)):
+        w = Witnesses(items)
+        assert w._items.itemsize == size
+        assert w == items and list(w) == list(items) and w[-1] == items[-1]
+        assert pickle.loads(pickle.dumps(w)) == items
+
+
 @pytest.mark.parametrize("n", DTYPE_BOUNDARY_NS)
 def test_diameters_at_the_dtype_boundary(n):
     # one many-chord call on each side of the int32/int64 switch

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,14 +317,16 @@ def test_range_kernel_is_exact_at_row_breakpoints(monkeypatch, n, s, heavy, uy):
     # passes of 5 vertices at every alignment around each step of b0 (passes
     # that end just before it, start on it or straddle it) and at the top of
     # [0, n).  Each pass must ask _shared_row about its own first and last
-    # vertex, and take the constant rows exactly when all its vertices share b0
+    # vertex, and take constant rows (one or both, held to closest_point's
+    # row-dominance rule by the test below) exactly when all its vertices
+    # share b0
     p = CirculantParams(n, s)
     ux, basis_uy = p.basis[:2]
     assert (abs(basis_uy), "x" if abs(ux) >= abs(basis_uy) else "y") == (uy, heavy)
     chunk, calls, shared_row = 5, [], distance_mod._shared_row
 
-    def spy(neg_uy, n, first, last):
-        calls.append((first, last, shared_row(neg_uy, n, first, last)))
+    def spy(neg_uy, uh, ul, n, first, last):
+        calls.append((first, last, shared_row(neg_uy, uh, ul, n, first, last)))
         return calls[-1][-1]
 
     monkeypatch.setattr(distance_mod, "_CHUNK", chunk)
@@ -340,12 +343,105 @@ def test_range_kernel_is_exact_at_row_breakpoints(monkeypatch, n, s, heavy, uy):
             got = distance_range(p, lo, hi).tolist()
             assert got == [sum(map(abs, closest_point(p, i))) for i in range(lo, hi + 1)], (s, lo)
             assert [c[:2] for c in calls] == [(a, a + chunk - 1) for a in range(lo, hi + 1, chunk)]
-            for first, last, b0 in calls:
+            for first, last, live in calls:
                 rows = {i * -basis_uy // n for i in range(first, last + 1)}
-                assert b0 == (min(rows) if len(rows) == 1 else None), (s, first, last)
+                b0 = min(rows) if len(rows) == 1 else None
+                assert (live is None) == (b0 is None), (s, first, last)
+                if b0 is not None:
+                    assert live in ((b0,), (b0 + 1,), (b0, b0 + 1)), (s, first, last)
                 kept += b0 is not None
                 crossed += b0 is None
     assert kept and bool(crossed) == bool(steps)
+
+
+# (n, s, heavy coordinate of u, |uy|) on both sides of n = 2**20 whose
+# passes meet the edges of closest_point's row-dominance rule,
+# 2*(n - 2*rem) >= P and 2*(2*rem - n) >= P with P = |u|_1*|u|_inf.  The
+# left side minus P is congruent to 2*n - P mod 4 in both, so the cells
+# with 2*n - P = 0 (mod 4) reach equality and those with 3 (mod 4), where
+# P is odd, reach a left side of P - 1.  s = 1022 and 1021 are `large`-like: u = (s, -1) and
+# P ~ n, so the edge sits near n/4 and half of [2, n/2] needs both rows.
+# Their multiplier images have u = (1, 1022) and (-1, 1021)
+DOMINANCE_EDGE_CELLS = [
+    (2**20 - 1, 1022, "x", 1), (2**20 - 1, 523_747, "x", 2),
+    (2**20 - 1, 349_867, "y", 1022), (2**20 - 1, 524_287, "y", 2),
+    (2**20 + 7, 1021, "x", 1), (2**20 + 7, 523_751, "x", 2),
+    (2**20 + 7, 327_618, "y", 1021), (2**20 + 7, 349_527, "y", 3),
+]
+
+
+def _lone_row(p, i):
+    """The row that Hoelder's bound leaves alone for vertex i, or None.
+
+    Row B with offset e = |beta - B| from beta = -i*uy/n holds a point of
+    length at most e*g + |u|_1/2 and the other row none shorter than
+    (1 - e)*g, with g = n/|u|_inf: B is alone when (1 - 2e)*g >= |u|_1/2.
+    """
+    ux, uy = p.basis[:2]
+    g = Fraction(p.n, max(abs(ux), abs(uy)))
+    beta = Fraction(-i * uy, p.n)
+    b0 = math.floor(beta)
+    for row, e in ((b0, beta - b0), (b0 + 1, b0 + 1 - beta)):
+        if (1 - 2 * e) * g >= Fraction(abs(ux) + abs(uy), 2):
+            return row
+    return None
+
+
+def _dominance_flips(p):
+    """Every i in [1, n) that shares b0 with i - 1 but not its lone row."""
+    n, (ux, uy) = p.n, p.basis[:2]
+    reach = (abs(ux) + abs(uy)) * max(abs(ux), abs(uy))
+    near = set()
+    for j in range(min(0, -uy), max(0, -uy) + 1):  # every b0 over [0, n)
+        for rem in (Fraction(2 * n - reach, 4), Fraction(2 * n + reach, 4)):
+            at = math.floor((j * n + rem) / -uy)
+            near.update(range(at - 1, at + 3))
+    shared = [t for t in sorted(near) if 1 <= t < n and t * -uy // n == (t - 1) * -uy // n]
+    return [t for t in shared if _lone_row(p, t) != _lone_row(p, t - 1)]
+
+
+@pytest.mark.parametrize("n, s, heavy, uy", DOMINANCE_EDGE_CELLS)
+def test_range_kernel_is_exact_at_the_dominance_edge(monkeypatch, n, s, heavy, uy):
+    # passes of 5 vertices at every alignment around each vertex where a
+    # row starts or stops being alone (all of them when |uy| <= 3), held to
+    # closest_point.  A pass that shares b0 must run one row exactly when
+    # _lone_row gives that row at both of its ends
+    p = CirculantParams(n, s)
+    ux, basis_uy = p.basis[:2]
+    assert (abs(basis_uy), "x" if abs(ux) >= abs(basis_uy) else "y") == (uy, heavy)
+    chunk, calls, shared_row = 5, [], distance_mod._shared_row
+
+    def spy(neg_uy, uh, ul, n, first, last):
+        calls.append((first, last, shared_row(neg_uy, uh, ul, n, first, last)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(distance_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(distance_mod, "_shared_row", spy)
+    flips = _dominance_flips(p)
+    assert 2 * uy - 2 <= len(flips) <= 2 * uy + 2
+    if uy == 1:  # the `large`-like edge, near n/4
+        assert abs(flips[0] - n // 4) < n // 100
+    if len(flips) > 6:
+        flips = [flips[0], *random.Random(n + s).sample(flips[1:-1], 2), flips[-1]]
+    lone = both = 0
+    for t in flips:
+        for lo in range(max(0, t - 2 * chunk), min(t + 1, n - 3 * chunk + 1)):
+            hi = lo + 3 * chunk - 1
+            calls.clear()
+            got = distance_range(p, lo, hi).tolist()
+            assert got == [sum(map(abs, closest_point(p, i))) for i in range(lo, hi + 1)], (s, lo)
+            assert [c[:2] for c in calls] == [(a, a + chunk - 1) for a in range(lo, hi + 1, chunk)]
+            for first, last, live in calls:
+                b0 = first * -basis_uy // n
+                if last * -basis_uy // n != b0:
+                    assert live is None, (s, first, last)
+                    continue
+                row = _lone_row(p, first)
+                want = (row,) if row is not None and row == _lone_row(p, last) else (b0, b0 + 1)
+                assert live == want, (s, first, last)
+                lone += len(live) == 1
+                both += len(live) == 2
+    assert lone and both
 
 
 @pytest.mark.parametrize("chunk", [3, 5, 200])
@@ -402,9 +498,10 @@ def test_multiplier_pair_runs_both_row_paths():
     n = 10**6
     assert multiplier_image(CirculantParams(n, 997)).s == 444_333
     for s, kept in ((997, True), (444_333, False)):
-        neg_uy = -CirculantParams(n, s).basis[1]
+        ux, uy = CirculantParams(n, s).basis[:2]
+        uh, ul = (ux, uy) if abs(ux) >= abs(uy) else (uy, ux)
         ends = [(lo, lo + _CHUNK - 1) for lo in range(0, n - _CHUNK + 1, _CHUNK)]
-        assert all((_shared_row(neg_uy, n, *e) is not None) == kept for e in ends), s
+        assert all((_shared_row(-uy, uh, ul, n, *e) is not None) == kept for e in ends), s
 
 
 def test_multiplier_pair_shares_diameter():
