@@ -167,6 +167,15 @@ def _shared_row(
     return (b0, b0 + 1)
 
 
+def _period_tables(uh: int, ul: int, size: int, dtype) -> tuple[np.ndarray, ...]:
+    """k mod uh, floor(k/uh)*ul and uh - k mod uh for k in [0, size)."""
+    import numpy as np
+
+    a, r = np.divmod(np.arange(size, dtype=dtype), uh)
+    a *= ul
+    return r, a, uh - r
+
+
 def _lattice_passes(
     ps: Sequence[CirculantParams], lo: int, hi: int
 ) -> Iterator[tuple[list[int], int, np.ndarray]]:
@@ -187,8 +196,8 @@ def _lattice_passes(
     < 2**31, which halves the bytes it moves, and in int64 up to n = 2**40;
     larger n raises OutOfRangeError (distance_from_zero has no such limit).
 
-    Every pass takes A = floor(xh/uh) with floor_divide and the heavy
-    residual as xh - A*uh, which equals divmod's because uh > 0.  A
+    A pass that divides takes A = floor(xh/uh) with floor_divide and the
+    heavy residual as xh - A*uh, which equals divmod's because uh > 0.  A
     one-chord pass (every pass of distance_range and of one graph's
     diameter, and every pass once hi - lo >= _CHUNK/2) divides by one plain
     int, which numpy does by multiply and shift, about 4x faster than
@@ -206,6 +215,25 @@ def _lattice_passes(
     the add of i).  When u is heavy in y, that coordinate is the light one
     and the heavy one, B*(-wh), is constant; so are A and the heavy
     residual, and a row takes 8 array ops in place of 13.
+
+    When u is heavy in x, A and the heavy residual repeat with period uh
+    along such a row: with (q, r0) = divmod(start - B*wh, uh) and
+    k = r0 + j for the pass's j in [0, c), row B has A = q + floor(k/uh),
+    heavy residual r = k mod uh, and light coordinate
+    (-B*wl - q*ul) - floor(k/uh)*ul.  So tables of k mod uh,
+    floor(k/uh)*ul and uh - k mod uh over the k in [0, width + uh - 1) a
+    pass can reach hand it r, the light term and candidate A + 1's heavy
+    residual as slices at r0: 7 array ops a row in place of 13 (the ramp,
+    the division, the residual and the light coordinate take one subtract;
+    candidate A + 1's -r, +uh take one add).  Every entry is below
+    width + uh in absolute value (|ul| <= uh), so the tables would fit int32
+    at any n, and the light constant is within width + uh of a vertex's
+    light coordinate, inside the dtype bound above; the tables take the
+    pass's dtype, as numpy casts a mixed-dtype operand on every op.  A
+    chord builds them on its first pass that reads them, so a call whose
+    passes all cross a row builds none, and only when uh <= width, so they
+    hold under 2*width entries.  At width = _CHUNK, uh > width needs
+    n > _CHUNK**2*sqrt(3)/2 ~ 5.8e7 (uh <= |u|); such passes divide.
 
     Such a pass runs one row when closest_point's row-dominance rule rules
     the other out at both of its ends (the rule is linear in i, so it then
@@ -248,52 +276,70 @@ def _lattice_passes(
             else:
                 cols = np.array(table[first : first + g], dtype=dtype)
                 neg_uy, uh, ul, neg_wh, neg_wl = cols.T[:, :, None]
+            tables = None  # built by this chord's first pass that reads them
             for start in range(lo, hi + 1, width):
                 c = min(width, hi + 1 - start)
                 live = None if g > 1 else _shared_row(neg_uy, uh, ul, n, start, start + c - 1)
                 k = 2 if live is None else len(live)
                 xh, xl = xh_buf[:k, :g, :c], xl_buf[:k, :g, :c]
                 a, r = a_buf[:k, :g, :c], r_buf[:k, :g, :c]
-                if live is None or on_h:
-                    # X = (i, 0) - B*w in the heavy/light coordinates of u,
-                    # on rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
-                    if live is None:
-                        i = np.arange(start, start + c, dtype=dtype)
-                        b = i * neg_uy
-                        b //= n
-                        np.add(b, rows, out=r)
-                        np.multiply(r, neg_wh, out=xh)
-                        np.multiply(r, neg_wl, out=xl)
-                        if on_h:
-                            xh += i
-                        else:
-                            xl += i
-                    else:  # one B per live row: xh is ramp plus a constant
-                        bw = [(start + b * neg_wh, b * neg_wl) for b in live]
-                        xh0, xl = np.array(bw, dtype=dtype).T[:, :, None, None]
-                        np.add(ramp[:c], xh0, out=xh)
-                    # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
-                    np.floor_divide(xh, uh, out=a)
-                    np.multiply(a, uh, out=r)
-                    np.subtract(xh, r, out=r)
-                    a *= ul
-                    np.subtract(xl, a, out=a)
-                else:  # u heavy in y, one B per live row: xh = B*(-wh) is
-                    # constant, so A and r are ints and xl - A*ul is a ramp
-                    consts = []
-                    for b in live:
-                        q, rest = divmod(b * neg_wh, uh)
-                        consts.append((start + b * neg_wl - q * ul, rest))
-                    light, r = np.array(consts, dtype=dtype).T[:, :, None, None]
-                    np.add(ramp[:c], light, out=a)
-                np.abs(a, out=xh)
-                xh += r
-                # A + 1 leaves heavy residual uh - r, light shifted by ul
-                a -= ul
-                np.abs(a, out=a)
-                a -= r
-                a += uh
-                np.minimum(xh, a, out=xh)
+                if live is not None and on_h and uh <= width:
+                    # xh = start - B*wh + j = q*uh + r0 + j, so A = q + (r0 + j)//uh
+                    # and each row reads r, A*ul and uh - r off the tables at r0 + j
+                    if tables is None:
+                        tables = _period_tables(uh, ul, width + uh - 1, dtype)
+                    rs, aul, urs = tables
+                    for row, b in enumerate(live):
+                        q, r0 = divmod(start + b * neg_wh, uh)
+                        ar, xr = a[row], xh[row]
+                        np.subtract(b * neg_wl - q * ul, aul[r0 : r0 + c], out=ar)
+                        np.abs(ar, out=xr)
+                        xr += rs[r0 : r0 + c]
+                        ar -= ul
+                        np.abs(ar, out=ar)
+                        ar += urs[r0 : r0 + c]
+                        np.minimum(xr, ar, out=xr)
+                else:
+                    if live is None or on_h:
+                        # X = (i, 0) - B*w in the heavy/light coordinates of u,
+                        # on rows B = b0 + {0, 1} with b0 = floor(-i*uy/n)
+                        if live is None:
+                            i = np.arange(start, start + c, dtype=dtype)
+                            b = i * neg_uy
+                            b //= n
+                            np.add(b, rows, out=r)
+                            np.multiply(r, neg_wh, out=xh)
+                            np.multiply(r, neg_wl, out=xl)
+                            if on_h:
+                                xh += i
+                            else:
+                                xl += i
+                        else:  # one B per live row: xh is ramp plus a constant
+                            bw = [(start + b * neg_wh, b * neg_wl) for b in live]
+                            xh0, xl = np.array(bw, dtype=dtype).T[:, :, None, None]
+                            np.add(ramp[:c], xh0, out=xh)
+                        # A = floor(xh/uh) leaves heavy residual r, light xl - A*ul
+                        np.floor_divide(xh, uh, out=a)
+                        np.multiply(a, uh, out=r)
+                        np.subtract(xh, r, out=r)
+                        a *= ul
+                        np.subtract(xl, a, out=a)
+                    else:  # u heavy in y, one B per live row: xh = B*(-wh) is
+                        # constant, so A and r are ints and xl - A*ul is a ramp
+                        consts = []
+                        for b in live:
+                            q, rest = divmod(b * neg_wh, uh)
+                            consts.append((start + b * neg_wl - q * ul, rest))
+                        light, r = np.array(consts, dtype=dtype).T[:, :, None, None]
+                        np.add(ramp[:c], light, out=a)
+                    np.abs(a, out=xh)
+                    xh += r
+                    # A + 1 leaves heavy residual uh - r, light shifted by ul
+                    a -= ul
+                    np.abs(a, out=a)
+                    a -= r
+                    a += uh
+                    np.minimum(xh, a, out=xh)
                 if k == 2:
                     np.minimum(xh[0], xh[1], out=xh[0])
                 yield order[first : first + g], start, xh[0]

@@ -154,8 +154,8 @@ class TupleLike(Sequence):
 
     It compares equal to, and hashes like, that tuple (hashing builds the
     tuple once), and like a tuple it is unequal to a list.  A subclass
-    gives _key(): two of its instances with equal keys are equal without
-    reading their items.
+    gives _key(), or its own __eq__: two of its instances with equal keys
+    are equal without reading their items.
     """
 
     __slots__ = ()

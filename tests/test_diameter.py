@@ -135,7 +135,8 @@ def test_batched_entry_takes_one_n():
 )
 def test_diameter_holds_one_kernel_pass(s, value, witnesses):
     # the kernel's buffers are one pass of at most 2**13 (chord, vertex)
-    # pairs, about 0.75 MiB, at any n; a whole-range block at n = 10**7
+    # pairs, about 0.6 MiB in int64, plus period tables of under 2**14
+    # entries, at any n; a whole-range block at n = 10**7
     # would take 16.7 MiB.  numpy's own import traces about 5.9 MiB.  The
     # first two cells have |uy| <= 2, so their passes keep constant rows;
     # u = (108, 2932) for s = 2718281 makes its passes cross rows, and its
@@ -153,9 +154,10 @@ def test_diameter_holds_one_kernel_pass(s, value, witnesses):
 
 @pytest.mark.parametrize("n, s", [(10**6, 997), (2**20 - 1, 1024), (10**6, 271_828)])
 def test_int32_pass_takes_half_the_bytes(n, s):
-    # below n = 2**20 a pass computes in int32: about 0.35 MiB, where the
-    # int64 pass of the test above takes about 0.69 MiB.  The first two
-    # cells keep constant rows on every pass; C_10^6(1, 271828), with
+    # below n = 2**20 a pass computes in int32: about 0.3 MiB, where the
+    # int64 pass of the test above takes about 0.6 MiB.  The first two
+    # cells keep constant rows on every pass, and their period tables
+    # (uh <= 2**13) take 0.1 MiB more; C_10^6(1, 271828), with
     # u = (404, 607), crosses rows; it has no closed form, and its diameter
     # is 909
     p = CirculantParams(n, s)
@@ -187,14 +189,18 @@ def test_witnesses_keep_8_bytes_each():
 
 def test_witnesses_take_4_bytes_below_2_pow_32():
     # every vertex of an n < 2**32 fits a C int; one that does not keeps
-    # all of its result's vertices at 8 bytes, exactly
+    # all of its result's vertices at 8 bytes, exactly.  The vertices are
+    # the bytes of the one object that holds them
     res = diameter_exact(CirculantParams(10**7, 3163))
-    assert res.witnesses._items.itemsize == 4
+    assert isinstance(res.witnesses, bytes) and bytes.__len__(res.witnesses) == 4 * len(res.witnesses)
     for items, size in (((2, 2**31 - 1), 4), ((2, 2**31, 2**40 - 1), 8), ((3, -(2**31) - 1), 8)):
         w = Witnesses(items)
-        assert w._items.itemsize == size
+        assert bytes.__len__(w) == size * len(items) and w != bytes(w) and bytes(w) != w
         assert w == items and list(w) == list(items) and w[-1] == items[-1]
         assert pickle.loads(pickle.dumps(w)) == items
+        for k in (len(items), 2**62, -(2**70)):
+            with pytest.raises(IndexError):
+                w[k]
 
 
 @pytest.mark.parametrize("n", DTYPE_BOUNDARY_NS)
@@ -236,3 +242,18 @@ def test_witnesses_stand_in_for_their_tuple(n, s):
         w[0] = 0
     with pytest.raises(AttributeError):
         w.extra = 0
+
+
+def test_witnesses_keep_one_object_of_4_bytes_a_vertex():
+    # 15 vertices below 2**31: 60 bytes of ints in one bytes object, about
+    # 110 B with its header; an array behind a wrapper kept about 180 B
+    items = [2 + k * (2**31 - 3) // 14 for k in range(15)]
+    Witnesses(items)
+    tracemalloc.start()
+    try:
+        w = Witnesses(items)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w == tuple(items) and w[-1] == 2**31 - 1
+    assert kept <= 120, kept

@@ -444,6 +444,48 @@ def test_range_kernel_is_exact_at_the_dominance_edge(monkeypatch, n, s, heavy, u
     assert lone and both
 
 
+# (n, s) with u = (s, -1), heavy in x, on both sides of n = 2**20: uh = s
+# runs on both sides of the kernel's uh <= width switch at width 64
+PERIOD_EDGE_CELLS = [(n, s) for n in (2**20 - 1, 2**20 + 7) for s in (2, 3, 63, 64, 65)]
+
+
+@pytest.mark.parametrize("n, s", PERIOD_EDGE_CELLS)
+def test_range_kernel_is_exact_at_period_edges(monkeypatch, n, s):
+    # passes of 64 vertices around both dominance edges, so that they run
+    # row 0 alone, both rows and row 1 alone.  A pass with constant rows
+    # reads r = (i - B*wh) mod uh, A*ul and uh - r off tables of 64 + uh - 1
+    # entries, which one call builds once and only when uh <= 64.  Windows
+    # start at r0 = 0, 1 and uh - 1 on row b0 = 0 (uh - 1 reads the last
+    # entry) and end where a period closes; each is held to closest_point
+    p = CirculantParams(n, s)
+    assert p.basis[:2] == (s, -1)
+    chunk, built, lives = 64, [], set()
+    period_tables, shared_row = distance_mod._period_tables, distance_mod._shared_row
+
+    def tables_spy(uh, ul, size, dtype):
+        built.append((uh, ul, size, dtype))
+        return period_tables(uh, ul, size, dtype)
+
+    def rows_spy(*args):
+        lives.add(live := shared_row(*args))
+        return live
+
+    monkeypatch.setattr(distance_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(distance_mod, "_period_tables", tables_spy)
+    monkeypatch.setattr(distance_mod, "_shared_row", rows_spy)
+    reach, dtype = (s + 1) * s, np.int32 if n < 2**20 else np.int64
+    for edge in ((2 * n - reach) // 4, (2 * n + reach) // 4):
+        for r0 in (0, 1, s - 1):
+            lo = edge - 100 - (edge - 100) % s + r0
+            hi = lo + 3 * chunk + (-(lo + 3 * chunk)) % s - 1
+            assert lo % s == r0 and (hi + 1) % s == 0
+            built.clear()
+            got = distance_range(p, lo, hi).tolist()
+            assert got == [sum(map(abs, closest_point(p, i))) for i in range(lo, hi + 1)], (lo, hi)
+            assert built == ([(s, -1, chunk + s - 1, dtype)] if s <= chunk else []), built
+    assert lives == {(0,), (0, 1), (1,)}
+
+
 @pytest.mark.parametrize("chunk", [3, 5, 200])
 def test_small_passes_keep_diameters_exact(monkeypatch, chunk):
     # passes of 3 and 5 vertices run one chord at a time, so most keep their
